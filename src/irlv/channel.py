@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .scenario import distance
-
 SPEED_OF_LIGHT = 299792458.0
 
 # Grids at or below this node count use exact dense covariance factorization;
 # larger grids use FFT synthesis on a circulant embedding.
 _DENSE_NODE_LIMIT = 2500
+
+
+class EmbeddingError(ValueError):
+    """Circulant embedding still indefinite after the last padding (d_c too large)."""
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,6 @@ class ShadowingField:
         return float(out) if out.ndim == 0 else out
 
 
-def shadowing_at(field: ShadowingField, pos):
-    """Shadowing in dB at a single position."""
-    return field.at(pos[0], pos[1])
-
-
 def _grid_axis(lo: float, hi: float, spacing: float) -> int:
     """Number of nodes so the grid spans at least [lo, hi]."""
     return int(math.ceil((hi - lo) / spacing - 1e-9)) + 1
@@ -171,15 +168,22 @@ def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
 
     The embedded torus covariance is exact for all in-grid lags; residual
     negative eigenvalues of the embedding are clipped after padding (their
-    mass is checked to be negligible).
+    mass may be at most 1e-6 of the positive mass after at most three
+    doublings, else EmbeddingError).
     """
     mx = scipy.fft.next_fast_len(2 * nx)
     my = scipy.fft.next_fast_len(2 * ny)
-    for _ in range(3):
+    for doubling in range(4):
         lam = _circulant_eigenvalues(mx, my, spacing, sigma, d_c)
-        neg = -lam[lam < 0].sum()
-        if neg <= 1e-6 * lam[lam > 0].sum():
+        neg, pos = -lam[lam < 0].sum(), lam[lam > 0].sum()
+        if neg <= 1e-6 * pos:
             break
+        if doubling == 3:
+            raise EmbeddingError(
+                f"circulant embedding of the {nx}x{ny} grid stays indefinite at "
+                f"{mx}x{my}: negative eigenvalue mass is {neg / pos:.2g} of the positive "
+                f"mass (limit 1e-06); d_c = {d_c:g} m is too large"
+            )
         mx = scipy.fft.next_fast_len(2 * mx)
         my = scipy.fft.next_fast_len(2 * my)
     lam = np.clip(lam, 0.0, None)
@@ -253,12 +257,8 @@ def attenuation_matrix(scenario, fields, params: ChannelParams, xy: np.ndarray) 
     return out
 
 
-def attenuation_vector(scenario, fields, params: ChannelParams, ue) -> np.ndarray:
-    """Attenuation in dB from one position to every base station."""
-    return attenuation_matrix(scenario, fields, params, np.asarray(ue, dtype=float).reshape(1, 2))[0]
-
-
 _FIELD_MAGIC = "shadowing-field-v1"
+_FIELD_HEADER_KEYS = ("origin_x", "origin_y", "spacing", "nx", "ny", "sigma_s_db", "d_c_m", "seed")
 
 
 def save_field(field: ShadowingField, path) -> None:
@@ -295,6 +295,9 @@ def load_field(path) -> ShadowingField:
         header = dict(
             item.split("=", 1) for item in f.readline().lstrip("# ").strip().split()
         )
+        missing = [k for k in _FIELD_HEADER_KEYS if k not in header]
+        if missing:
+            raise ValueError(f"field header of {path} lacks key {missing[0]!r}")
         nx, ny = int(header["nx"]), int(header["ny"])
         values = np.array(
             [[float(v) for v in f.readline().split(",")] for _ in range(ny)]

@@ -28,27 +28,21 @@ from .config import (
     ConfigError,
     OBJECTIVE_BOTH,
     RunConfig,
+    Seeds,
     build_scenario,
     default_config_path,
     load_config,
 )
-from .dataset import generate_dataset, normalize, split
-from .evaluation import auc, average_roc, empirical_roc, roc_to_csv
-from .mlp import (
-    TrainConfig,
-    TrainingDivergedError,
-    default_layer_sizes,
-    forward,
-    init_mlp,
-    train,
-)
+from .evaluation import auc, average_roc, roc_to_csv
+from .mlp import TrainConfig, TrainingDivergedError
+from .mlp import train  # noqa: F401  bench/tests/test_bench.py checks that tracing patches it here
 from .neyman_pearson import SectorGeometry, np_roc
 from .planner import (
     OBJECTIVE_AUC,
     OBJECTIVE_CE,
     PlacementEvalConfig,
     evaluate_placement,
-    run_pso,
+    plan_placement,
 )
 
 # ConfigError subclasses ValueError, so it must be caught before these
@@ -88,37 +82,36 @@ def _map_jobs(fn, payloads, jobs: int):
         return [f.result() for f in futures]
 
 
-def _train_curve(scenario, cfg: RunConfig, n_hidden: int, s_total: int, seed_shift: int):
-    """One generate/train/evaluate pass; ROC of the net on the test split."""
-    seeds = cfg.seeds.shifted(seed_shift)
-    fields = generate_fields(scenario, cfg.channel, seeds.field)
-    ds = generate_dataset(
-        scenario, fields, cfg.channel, s_total, cfg.data.p0,
-        np.random.default_rng(seeds.dataset),
+def _eval_config(cfg: RunConfig, seeds: Seeds, n_hidden: int, s_total: int) -> PlacementEvalConfig:
+    """The placement-evaluation settings of a run for one set of seeds."""
+    return PlacementEvalConfig(
+        channel=cfg.channel, s_total=s_total, p0=cfg.data.p0,
+        train_frac=cfg.data.train_frac, n_hidden=n_hidden, n_layers=cfg.nn.n_layers,
+        train=TrainConfig(
+            learning_rate=cfg.nn.learning_rate, epochs=cfg.nn.epochs,
+            batch_size=cfg.nn.batch_size, seed=seeds.init,
+        ),
+        field_seed=seeds.field, dataset_seed=seeds.dataset, init_seed=seeds.init,
     )
-    train_set, test_set = split(ds, cfg.data.train_frac)
-    train_n = normalize(train_set)
-    test_n = normalize(test_set, train_n.stats)
-    net = init_mlp(default_layer_sizes(scenario.n_bs, n_hidden, cfg.nn.n_layers), seeds.init)
-    net, _ = train(net, train_n, TrainConfig(
-        learning_rate=cfg.nn.learning_rate, epochs=cfg.nn.epochs,
-        batch_size=cfg.nn.batch_size, seed=seeds.init,
-    ))
-    return empirical_roc(forward(net, test_n.features), test_n.labels)
 
 
-def _roc_job(cfg: RunConfig, n_hidden: int, s_total: int, seed_shift: int):
-    return _train_curve(build_scenario(cfg.scenario), cfg, n_hidden, s_total, seed_shift)
+def _evaluate_task(scenario, cfg: PlacementEvalConfig):
+    """Score the scenario's placement on fields drawn for this task alone
+    (inside the job, so no task holds another task's fields)."""
+    return evaluate_placement(scenario, generate_fields(scenario, cfg.channel, cfg.field_seed), cfg)
 
 
 def cmd_roc(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
     """Per-seed and seed-averaged test ROC curves over the configured sweep."""
+    scenario = build_scenario(cfg.scenario)
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
-    results = _map_jobs(
-        _roc_job, [(cfg, nh, s, offset + k) for nh, s, k in tasks], jobs
-    )
-    curves = dict(zip(tasks, results))
+    payloads = [
+        (scenario, _eval_config(cfg, cfg.seeds.shifted(offset + k), nh, s))
+        for nh, s, k in tasks
+    ]
+    scores = _map_jobs(_evaluate_task, payloads, jobs)
+    curves = {task: score.roc for task, score in zip(tasks, scores)}
     outputs = []
     summary = ["n_hidden,s_total,seed,auc"]
     for nh, s in combos:
@@ -151,9 +144,10 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
     scenario = build_scenario(cfg.scenario)
     params = dataclasses.replace(cfg.channel, sigma_s_db=0.0)
     quiet = dataclasses.replace(cfg, channel=params)
-    nn_curve = _train_curve(scenario, quiet, cfg.nn.n_hidden, cfg.data.s_total, offset)
-
     seeds = cfg.seeds.shifted(offset)
+    eval_cfg = _eval_config(quiet, seeds, cfg.nn.n_hidden, cfg.data.s_total)
+    nn_curve = _evaluate_task(scenario, eval_cfg).roc
+
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
     n_np = max(cfg.eval.n_np_samples, 10_000)
@@ -189,39 +183,6 @@ def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
     return []
 
 
-def _plan_job(cfg: RunConfig, objective: str, seed_shift: int):
-    """One swarm run; returns its result plus the best placement's AUC per
-    iteration (looked up from the evaluation cache, never recomputed)."""
-    scenario = build_scenario(cfg.scenario)
-    seeds = cfg.seeds.shifted(seed_shift)
-    eval_cfg = PlacementEvalConfig(
-        channel=cfg.channel, s_total=cfg.data.s_total, p0=cfg.data.p0,
-        train_frac=cfg.data.train_frac, n_hidden=cfg.nn.n_hidden,
-        n_layers=cfg.nn.n_layers,
-        train=TrainConfig(
-            learning_rate=cfg.nn.learning_rate, epochs=cfg.nn.epochs,
-            batch_size=cfg.nn.batch_size, seed=seeds.init,
-        ),
-        field_seed=seeds.field, dataset_seed=seeds.dataset, init_seed=seeds.init,
-    )
-    cache: dict[bytes, object] = {}
-
-    def objective_fn(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in cache:
-            cache[key] = evaluate_placement(scenario, x, eval_cfg)
-        score = cache[key]
-        return score.ce_bits if objective == OBJECTIVE_CE else score.auc_value
-
-    dim = 2 * scenario.n_bs
-    xmin, ymin, xmax, ymax = scenario.bounds
-    bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
-    pso = dataclasses.replace(cfg.pso, objective=objective)
-    result = run_pso(objective_fn, bounds, dim, pso, np.random.default_rng(seeds.pso))
-    aucs = [cache[x.tobytes()].auc_value for x in result.best_x_history]
-    return result, aucs
-
-
 def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
     """Placement searches per objective and seed, with best-value history
     CSVs and the per-iteration mean AUC across seeds."""
@@ -233,11 +194,16 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
         [OBJECTIVE_CE, OBJECTIVE_AUC] if cfg.objective == OBJECTIVE_BOTH
         else [cfg.objective]
     )
+    scenario = build_scenario(cfg.scenario)
     tasks = [(obj, k) for obj in objectives for k in range(cfg.sweep.n_seeds)]
-    results = _map_jobs(
-        _plan_job, [(cfg, obj, offset + k) for obj, k in tasks], jobs
-    )
-    runs = dict(zip(tasks, results))
+    payloads = []
+    for obj, k in tasks:
+        seeds = cfg.seeds.shifted(offset + k)
+        payloads.append((
+            scenario, _eval_config(cfg, seeds, cfg.nn.n_hidden, cfg.data.s_total),
+            dataclasses.replace(cfg.pso, objective=obj), np.random.default_rng(seeds.pso),
+        ))
+    runs = dict(zip(tasks, _map_jobs(plan_placement, payloads, jobs)))
     outputs = []
     summary = {}
     for obj in objectives:
@@ -292,7 +258,8 @@ def cmd_field(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
     params = cfg.channel
     seeds = cfg.seeds.shifted(offset)
     outputs = []
-    for n, f in enumerate(generate_fields(scenario, params, seeds.field)):
+    fields = generate_fields(scenario, params, seeds.field)
+    for n, f in enumerate(fields):
         name = f"field_bs{n}.csv"
         save_field(f, out_dir / name)
         outputs.append(name)
@@ -327,11 +294,10 @@ def cmd_field(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
         rows.append(f"{lag:.17g},{emp:.17g},{theory:.17g},{rel:.17g}")
     _write_lines(out_dir / "field_cov.csv", rows)
     outputs.append("field_cov.csv")
-    sample = generate_shadowing_field(scenario, params, seeds.field)
     _write_json(out_dir / "summary.json", {
         "n_realizations": n_real,
         "max_rel_err": max_rel_err,
-        "grid": {"nx": sample.nx, "ny": sample.ny, "spacing_m": spacing},
+        "grid": {"nx": fields[0].nx, "ny": fields[0].ny, "spacing_m": spacing},
     })
     outputs.append("summary.json")
     return outputs

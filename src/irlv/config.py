@@ -1,12 +1,12 @@
 """INI run configuration: strict parsing with errors named by section/key.
 
 Every experiment is a pure function of (config, seeds), so seeds are
-mandatory keys with no wall-clock fallback.  All other keys default to the
-standard values shipped in paper.cfg.
+mandatory keys with no wall-clock fallback.  Every other key defaults to
+its dataclass field; paper.cfg ships those same standard values.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -19,8 +19,6 @@ SCENARIO_STREET = "street"
 SCENARIO_CIRCULAR = "circular"
 
 OBJECTIVE_BOTH = "both"
-
-_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -95,7 +93,7 @@ class RunConfig:
     eval: EvalConfig
     sweep: SweepConfig
     seeds: Seeds
-    output_dir: str
+    output_dir: str = "runs"
 
 
 def _parse(raw: str, section: str, key: str, kind):
@@ -111,12 +109,20 @@ def _parse(raw: str, section: str, key: str, kind):
         raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}") from None
 
 
-def _get(parser, section: str, key: str, kind, default=_MISSING):
-    if parser.has_option(section, key):
-        return _parse(parser.get(section, key), section, key, kind)
-    if default is _MISSING:
+def _get(parser, section: str, key: str, kind):
+    if not parser.has_option(section, key):
         raise ConfigError(f"[{section}] {key}: required key missing")
-    return default
+    return _parse(parser.get(section, key), section, key, kind)
+
+
+def _read(parser, section: str, cls, *skip: str) -> dict:
+    """The keys of one section that the file sets, parsed as the type of
+    the matching field default of cls; fields in skip are not read."""
+    return {
+        f.name: _get(parser, section, f.name, type(f.default))
+        for f in fields(cls)
+        if f.name not in skip and parser.has_option(section, f.name)
+    }
 
 
 def _get_list(parser, section: str, key: str, kind, default):
@@ -145,38 +151,17 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    kind = _get(parser, "scenario", "kind", str, SCENARIO_STREET)
-    if kind not in (SCENARIO_STREET, SCENARIO_CIRCULAR):
-        raise ConfigError(f"[scenario] kind: unknown scenario {kind!r}")
-    scenario = ScenarioConfig(
-        kind=kind,
-        map_side=_get(parser, "scenario", "map_side", float, 525.0),
-        building_side=_get(parser, "scenario", "building_side", float, 255.0),
-        street_width=_get(parser, "scenario", "street_width", float, 15.0),
-        r_out=_get(parser, "scenario", "r_out", float, 40.0),
-        roi_width=_get(parser, "scenario", "roi_width", float, 25.0),
-        roi_height=_get(parser, "scenario", "roi_height", float, 25.0),
-        r_min=_get(parser, "scenario", "r_min", float, 4.0),
-    )
+    scenario = ScenarioConfig(**_read(parser, "scenario", ScenarioConfig))
+    if scenario.kind not in (SCENARIO_STREET, SCENARIO_CIRCULAR):
+        raise ConfigError(f"[scenario] kind: unknown scenario {scenario.kind!r}")
 
     try:
-        channel = ChannelParams(
-            f0_hz=_get(parser, "channel", "f0_hz", float, 2.12e9),
-            sigma_s_db=_get(parser, "channel", "sigma_s_db", float, 8.0),
-            d_c_m=_get(parser, "channel", "d_c_m", float, 75.0),
-            h_ap_m=_get(parser, "channel", "h_ap_m", float, 15.0),
-            grid_spacing_m=_get(parser, "channel", "grid_spacing_m", float, 5.0),
-        )
+        # the speed of light is a constant, not a setting
+        channel = ChannelParams(**_read(parser, "channel", ChannelParams, "c_m_s"))
     except ValueError as exc:
         raise ConfigError(f"[channel] {exc}") from None
 
-    nn = NnConfig(
-        n_hidden=_get(parser, "nn", "n_hidden", int, 8),
-        n_layers=_get(parser, "nn", "n_layers", int, 3),
-        learning_rate=_get(parser, "nn", "learning_rate", float, 0.05),
-        epochs=_get(parser, "nn", "epochs", int, 200),
-        batch_size=_get(parser, "nn", "batch_size", int, 128),
-    )
+    nn = NnConfig(**_read(parser, "nn", NnConfig))
     if nn.n_hidden < 1 or nn.n_layers < 1:
         raise ConfigError("[nn] n_hidden/n_layers: must be at least 1")
     try:
@@ -187,45 +172,31 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[nn] {exc}") from None
 
-    data = DataConfig(
-        s_total=_get(parser, "dataset", "s_total", int, 20_000),
-        p0=_get(parser, "dataset", "p0", float, 0.5),
-        train_frac=_get(parser, "dataset", "train_frac", float, 0.7),
-    )
+    data = DataConfig(**_read(parser, "dataset", DataConfig))
     if not 0.0 < data.p0 < 1.0:
         raise ConfigError("[dataset] p0: must lie strictly between 0 and 1")
     if not 0.0 < data.train_frac < 1.0:
         raise ConfigError("[dataset] train_frac: must lie strictly between 0 and 1")
 
-    objective = _get(parser, "pso", "objective", str, OBJECTIVE_CE)
+    # [pso] objective may also be "both", which no single swarm run takes
+    pso_keys = _read(parser, "pso", PsoConfig)
+    objective = pso_keys.pop("objective", PsoConfig.objective)
     if objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
         raise ConfigError(f"[pso] objective: unknown objective {objective!r}")
     try:
-        pso = PsoConfig(
-            n_particles=_get(parser, "pso", "n_particles", int, 6),
-            inertia=_get(parser, "pso", "inertia", float, 0.7298),
-            c1=_get(parser, "pso", "c1", float, 1.4961),
-            c2=_get(parser, "pso", "c2", float, 1.4961),
-            max_iterations=_get(parser, "pso", "max_iterations", int, 50),
-            stall_iterations=_get(parser, "pso", "stall_iterations", int, 5),
-            stall_tolerance=_get(parser, "pso", "stall_tolerance", float, 1e-4),
-        )
+        pso = PsoConfig(**pso_keys)
     except ValueError as exc:
         raise ConfigError(f"[pso] {exc}") from None
 
-    eval_cfg = EvalConfig(
-        n_np_samples=_get(parser, "eval", "n_np_samples", int, 100_000),
-        n_thetas=_get(parser, "eval", "n_thetas", int, 200),
-        resolution_rad=_get(parser, "eval", "resolution_rad", float, 1e-4),
-    )
+    eval_cfg = EvalConfig(**_read(parser, "eval", EvalConfig))
     if eval_cfg.n_thetas < 2:
         raise ConfigError("[eval] n_thetas: need at least 2 thresholds")
 
+    # the sweep lists default to the single [nn]/[dataset] value
     sweep = SweepConfig(
         n_hidden=_get_list(parser, "sweep", "n_hidden", int, (nn.n_hidden,)),
         s_total=_get_list(parser, "sweep", "s_total", int, (data.s_total,)),
-        n_seeds=_get(parser, "sweep", "n_seeds", int, 5),
-        n_field_realizations=_get(parser, "sweep", "n_field_realizations", int, 500),
+        **_read(parser, "sweep", SweepConfig, "n_hidden", "s_total"),
     )
     if sweep.n_seeds < 1 or sweep.n_field_realizations < 1:
         raise ConfigError("[sweep] n_seeds/n_field_realizations: must be at least 1")
@@ -233,18 +204,14 @@ def load_config(path) -> RunConfig:
     if nn.batch_size > smallest_split:
         raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")
 
-    seeds = Seeds(
-        field=_get(parser, "seeds", "field", int),
-        dataset=_get(parser, "seeds", "dataset", int),
-        init=_get(parser, "seeds", "init", int),
-        pso=_get(parser, "seeds", "pso", int),
-    )
+    seeds = Seeds(**{f.name: _get(parser, "seeds", f.name, int) for f in fields(Seeds)})
 
-    output_dir = _get(parser, "output", "directory", str, "runs")
+    output = {}
+    if parser.has_option("output", "directory"):
+        output["output_dir"] = _get(parser, "output", "directory", str)
     return RunConfig(
         scenario=scenario, channel=channel, nn=nn, data=data, pso=pso,
-        objective=objective, eval=eval_cfg, sweep=sweep, seeds=seeds,
-        output_dir=output_dir,
+        objective=objective, eval=eval_cfg, sweep=sweep, seeds=seeds, **output,
     )
 
 

@@ -9,18 +9,11 @@ for diagnostics only; verifiers never see them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import attenuation_matrix
-from .scenario import REGION_INSIDE, REGION_OUTSIDE, Position
-
-
-class LabeledSample(NamedTuple):
-    a: np.ndarray
-    t: int
-    pos: Position
+from .scenario import REGION_INSIDE, REGION_OUTSIDE
 
 
 @dataclass(frozen=True)
@@ -58,14 +51,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    def __getitem__(self, i: int) -> LabeledSample:
-        return LabeledSample(
-            self.features[i], int(self.labels[i]), Position(*self.positions[i])
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def n_features(self) -> int:

@@ -14,15 +14,13 @@ so all gradients carry a 1/ln2 factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 LN2 = math.log(2.0)
 SCORE_EPS = 1e-12
-
-GLOROT_UNIFORM = "glorot-uniform"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -59,9 +57,6 @@ class MLP:
     def n_inputs(self) -> int:
         return self.weights[0].shape[1]
 
-    def copy(self) -> "MLP":
-        return MLP([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def default_layer_sizes(n_inputs: int, n_hidden: int = 8, n_layers: int = 3) -> list[int]:
     """[n_inputs, n_hidden * (n_layers - 1), 1]; n_layers counts weight layers."""
@@ -70,15 +65,13 @@ def default_layer_sizes(n_inputs: int, n_hidden: int = 8, n_layers: int = 3) -> 
     return [n_inputs] + [n_hidden] * (n_layers - 1) + [1]
 
 
-def init_mlp(layer_sizes, seed: int, scale_rule: str = GLOROT_UNIFORM) -> MLP:
+def init_mlp(layer_sizes, seed: int) -> MLP:
     """Uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases."""
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ValueError(f"invalid layer sizes: {sizes}")
     if sizes[-1] != 1:
         raise ValueError("the output layer must hold a single neuron")
-    if scale_rule != GLOROT_UNIFORM:
-        raise ValueError(f"unknown init scale rule: {scale_rule!r}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -144,7 +137,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     seed: int = 0
-    init_scale_rule: str = GLOROT_UNIFORM
 
     def __post_init__(self):
         if self.learning_rate <= 0:

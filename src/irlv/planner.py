@@ -1,10 +1,10 @@
 """Particle-swarm search for base-station placements.
 
 The swarm core is generic: it minimizes any vector objective over a box.
-On top of it, the placement pipeline turns a candidate set of base-station
-positions into an objective value by regenerating shadowing and data for
-that placement, training a verifier network, and reporting either its
-final training cross-entropy (cheap proxy) or its test-set AUC.
+On top of it, evaluate_placement is the one generate/train/score pipeline:
+it synthesizes data for a placement, trains a verifier network, and reports
+its final training cross-entropy (cheap proxy) and its test ROC and AUC.
+The roc and np-compare commands call it too.
 
 Seeds for fields, data, and network init stay constant for the whole run,
 so every particle in every iteration faces the same noise realization and
@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelParams, generate_fields
 from .dataset import generate_dataset, normalize, split
-from .evaluation import auc, empirical_roc
+from .evaluation import RocCurve, auc, empirical_roc
 from .mlp import TrainConfig, default_layer_sizes, forward, init_mlp, train
 
 OBJECTIVE_CE = "ce"
@@ -177,7 +177,8 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
 
 @dataclass(frozen=True)
 class PlacementEvalConfig:
-    """Everything one placement evaluation needs besides the positions."""
+    """Everything one placement evaluation needs besides the scenario and
+    its shadowing fields."""
 
     channel: ChannelParams = ChannelParams()
     s_total: int = 20_000
@@ -195,46 +196,58 @@ class PlacementEvalConfig:
 class PlacementScore:
     ce_bits: float
     auc_value: float
+    roc: RocCurve
 
 
-def evaluate_placement(scenario, positions, cfg: PlacementEvalConfig) -> PlacementScore:
-    """Train-and-score one candidate placement; deterministic per seeds."""
-    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
-    candidate = scenario.with_bs_positions(xy)
-    fields = generate_fields(candidate, cfg.channel, cfg.field_seed)
+def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig) -> PlacementScore:
+    """Train a verifier net on the scenario's base-station placement and
+    score it: final training CE in bits, test ROC and its AUC.
+
+    fields holds one shadowing map per base station (None for none); they
+    depend only on the map bounds, the base-station count and the field
+    seed, so callers draw them once for every placement.  Deterministic
+    given the seeds in cfg.
+    """
     ds = generate_dataset(
-        candidate, fields, cfg.channel, cfg.s_total, cfg.p0,
+        scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
         np.random.default_rng(cfg.dataset_seed),
     )
     train_set, test_set = split(ds, cfg.train_frac)
     train_n = normalize(train_set)
     test_n = normalize(test_set, train_n.stats)
-    sizes = default_layer_sizes(candidate.n_bs, cfg.n_hidden, cfg.n_layers)
+    sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
     mlp = init_mlp(sizes, cfg.init_seed)
     mlp, ce = train(mlp, train_n, cfg.train)
     roc = empirical_roc(forward(mlp, test_n.features), test_n.labels)
-    return PlacementScore(ce_bits=ce, auc_value=auc(roc))
-
-
-def evaluate_objective(positions, objective: str, scenario, cfg: PlacementEvalConfig) -> float:
-    """Scalar PSO objective: training CE in bits, or test AUC."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    score = evaluate_placement(scenario, positions, cfg)
-    return score.ce_bits if objective == OBJECTIVE_CE else score.auc_value
+    return PlacementScore(ce_bits=ce, auc_value=auc(roc), roc=roc)
 
 
 def plan_placement(scenario, cfg: PlacementEvalConfig, pso: PsoConfig,
-                   rng: np.random.Generator, initial_positions=None) -> PsoResult:
-    """PSO over n_bs base-station positions on the scenario map."""
+                   rng: np.random.Generator, initial_positions=None
+                   ) -> tuple[PsoResult, list[float]]:
+    """PSO over n_bs base-station positions on the scenario map.
+
+    The objective is pso.objective: training CE or test AUC.  The fields
+    are drawn once for the run and each distinct placement is evaluated
+    once.  Returns the swarm result and the test AUC of the best placement
+    at every iteration.
+    """
+    fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
+    cache: dict[bytes, PlacementScore] = {}
+
+    def objective_fn(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in cache:
+            candidate = scenario.with_bs_positions(np.reshape(x, (-1, 2)))
+            cache[key] = evaluate_placement(candidate, fields, cfg)
+        score = cache[key]
+        return score.ce_bits if pso.objective == OBJECTIVE_CE else score.auc_value
+
     dim = 2 * scenario.n_bs
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
-
-    def objective_fn(x):
-        return evaluate_objective(x, pso.objective, scenario, cfg)
-
-    return run_pso(objective_fn, bounds, dim, pso, rng, initial_positions)
+    result = run_pso(objective_fn, bounds, dim, pso, rng, initial_positions)
+    return result, [cache[x.tobytes()].auc_value for x in result.best_x_history]
 
 
 @dataclass(frozen=True)
@@ -258,12 +271,12 @@ def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
     Stage two starts with one particle at the stage-one best placement and
     the rest jittered around it (sigma = map extent / 20, clamped).
     """
-    result1 = plan_placement(scenario, cfg, stage1, rng)
+    result1, _ = plan_placement(scenario, cfg, stage1, rng)
     if stage2 is None:
         return TwoStageResult(result1, None, result1.best_x, result1.best_value)
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
     seeds = np.tile(result1.best_x, (stage2.n_particles, 1))
     seeds[1:] += rng.normal(0.0, sigma, size=seeds[1:].shape)
-    result2 = plan_placement(scenario, cfg, stage2, rng, initial_positions=seeds)
+    result2, _ = plan_placement(scenario, cfg, stage2, rng, initial_positions=seeds)
     return TwoStageResult(result1, result2, result2.best_x, result2.best_value)

@@ -41,11 +41,6 @@ class Position(NamedTuple):
     y: float
 
 
-def distance(p, q) -> float:
-    """Euclidean distance in meters between two positions."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned rectangle with strictly positive extent (closed set)."""
@@ -61,14 +56,6 @@ class Rectangle:
         for v in (self.xmin, self.ymin, self.xmax, self.ymax):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite rectangle corner: {self}")
-
-    @property
-    def min_corner(self) -> Position:
-        return Position(self.xmin, self.ymin)
-
-    @property
-    def max_corner(self) -> Position:
-        return Position(self.xmax, self.ymax)
 
     @property
     def width(self) -> float:
@@ -122,6 +109,34 @@ def _rejection_sample(bbox, accept, rng, size):
         out[filled : filled + k, 1] = y[ok][:k]
         filled += k
     return out
+
+
+# shared by both scenario classes, which supply contains(), roi and bounds
+def _in_roi_many(scenario, xy: np.ndarray) -> np.ndarray:
+    """Labels for an (n, 2) array of in-map positions: 0 inside ROI, 1 outside.
+
+    The ROI is closed, so boundary points count as inside.
+    """
+    xy = np.asarray(xy, dtype=float)
+    if not np.all(scenario.contains(xy[:, 0], xy[:, 1])):
+        raise OutOfMapError("position out of map")
+    return np.where(scenario.roi.contains(xy[:, 0], xy[:, 1]), 0, 1).astype(np.int64)
+
+
+def _sample_region(scenario, region: str, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform (size, 2) positions over ``"inside"`` (ROI), ``"outside"``, or ``"map"``."""
+    if region not in _REGIONS:
+        raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
+    if region == REGION_INSIDE:
+        return scenario.roi.sample(rng, size)
+    if region == REGION_MAP:
+        return _rejection_sample(scenario.bounds, scenario.contains, rng, size)
+    return _rejection_sample(
+        scenario.bounds,
+        lambda x, y: scenario.contains(x, y) & ~scenario.roi.contains(x, y),
+        rng,
+        size,
+    )
 
 
 @dataclass(frozen=True)
@@ -204,23 +219,14 @@ class StreetScenario:
         return (self.horizontal_street, self.vertical_street)
 
     def contains(self, x, y):
-        return (
-            (np.asarray(x) >= 0.0)
-            & (np.asarray(x) <= self.map_side)
-            & (np.asarray(y) >= 0.0)
-            & (np.asarray(y) <= self.map_side)
-        )
+        return Rectangle(0.0, 0.0, self.map_side, self.map_side).contains(x, y)
 
     def on_street(self, x, y):
         """Membership in the union of the two streets."""
         return self.horizontal_street.contains(x, y) | self.vertical_street.contains(x, y)
 
-    def in_roi_many(self, xy: np.ndarray) -> np.ndarray:
-        """Labels for an (n, 2) array of in-map positions: 0 inside ROI, 1 outside."""
-        xy = np.asarray(xy, dtype=float)
-        if not np.all(self.contains(xy[:, 0], xy[:, 1])):
-            raise OutOfMapError("position out of map")
-        return np.where(self.roi.contains(xy[:, 0], xy[:, 1]), 0, 1).astype(np.int64)
+    in_roi_many = _in_roi_many
+    sample_region = _sample_region
 
     def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:
         """LOS indicator for (n, 2) positions towards one base station.
@@ -241,17 +247,6 @@ class StreetScenario:
                 mask |= street.contains(xy[:, 0], xy[:, 1])
         return mask
 
-    def sample_region(self, region: str, rng: np.random.Generator, size: int) -> np.ndarray:
-        if region not in _REGIONS:
-            raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
-        if region == REGION_INSIDE:
-            return self.roi.sample(rng, size)
-        if region == REGION_MAP:
-            return _rejection_sample(self.bounds, lambda x, y: np.ones_like(x, bool), rng, size)
-        return _rejection_sample(
-            self.bounds, lambda x, y: ~self.roi.contains(x, y), rng, size
-        )
-
     def with_bs_positions(self, positions) -> "StreetScenario":
         """Same geometry with replaced base-station placements (may be off-street)."""
         return dataclasses.replace(self, bs_positions=tuple(Position(float(p[0]), float(p[1])) for p in positions))
@@ -267,13 +262,7 @@ class CircularScenario:
     def __post_init__(self):
         if self.r_out <= 0:
             raise ValueError("r_out must be positive")
-        corners = [
-            (self.roi.xmin, self.roi.ymin),
-            (self.roi.xmin, self.roi.ymax),
-            (self.roi.xmax, self.roi.ymin),
-            (self.roi.xmax, self.roi.ymax),
-        ]
-        if max(math.hypot(x, y) for x, y in corners) > self.r_out:
+        if self.r_max > self.r_out:
             raise ValueError("roi must lie entirely inside the outer circle")
 
     @classmethod
@@ -312,52 +301,10 @@ class CircularScenario:
     def contains(self, x, y):
         return np.asarray(x) ** 2 + np.asarray(y) ** 2 <= self.r_out**2
 
-    def in_roi_many(self, xy: np.ndarray) -> np.ndarray:
-        xy = np.asarray(xy, dtype=float)
-        if not np.all(self.contains(xy[:, 0], xy[:, 1])):
-            raise OutOfMapError("position out of map")
-        return np.where(self.roi.contains(xy[:, 0], xy[:, 1]), 0, 1).astype(np.int64)
+    in_roi_many = _in_roi_many
+    sample_region = _sample_region
 
     def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:
         if bs_index != 0:
             raise IndexError(f"bs_index {bs_index} out of range")
         return np.ones(np.asarray(xy).shape[0], dtype=bool)
-
-    def sample_region(self, region: str, rng: np.random.Generator, size: int) -> np.ndarray:
-        if region not in _REGIONS:
-            raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
-        if region == REGION_INSIDE:
-            return self.roi.sample(rng, size)
-        if region == REGION_MAP:
-            return _rejection_sample(self.bounds, self.contains, rng, size)
-        return _rejection_sample(
-            self.bounds,
-            lambda x, y: self.contains(x, y) & ~self.roi.contains(x, y),
-            rng,
-            size,
-        )
-
-
-def in_roi(scenario, pos) -> int:
-    """0 if pos is in the region of interest, 1 otherwise.
-
-    Boundary points count as inside (closed ROI).  Raises OutOfMapError for
-    positions outside the map.
-    """
-    return int(scenario.in_roi_many(np.asarray(pos, dtype=float).reshape(1, 2))[0])
-
-
-def is_los(scenario, pos, bs_index: int) -> bool:
-    """Whether the link between pos and base station bs_index is line-of-sight."""
-    return bool(scenario.los_mask(np.asarray(pos, dtype=float).reshape(1, 2), bs_index)[0])
-
-
-def sample_uniform(scenario, region: str, rng: np.random.Generator, size: int | None = None):
-    """Uniform position(s) over ``"inside"`` (ROI), ``"outside"``, or ``"map"``.
-
-    Returns a single Position when size is None, else an (size, 2) array.
-    """
-    xy = scenario.sample_region(region, rng, 1 if size is None else size)
-    if size is None:
-        return Position(float(xy[0, 0]), float(xy[0, 1]))
-    return xy

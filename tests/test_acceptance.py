@@ -30,7 +30,7 @@ from irlv.planner import (
     OBJECTIVE_CE,
     PlacementEvalConfig,
     PsoConfig,
-    evaluate_placement,
+    plan_placement,
     run_pso,
 )
 from irlv.scenario import CircularScenario, StreetScenario
@@ -209,21 +209,13 @@ def _placement_search(objective: str, k: int, s_total: int, epochs: int,
                           seed=2000 + k),
         field_seed=100 + k, dataset_seed=1000 + k, init_seed=2000 + k,
     )
-    cache = {}
-
-    def objective_fn(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in cache:
-            cache[key] = evaluate_placement(scenario, x, eval_cfg)
-        score = cache[key]
-        return score.ce_bits if objective == OBJECTIVE_CE else score.auc_value
-
-    bounds = (np.tile([0.0, 0.0], scenario.n_bs),
-              np.tile([525.0, 525.0], scenario.n_bs))
-    result = run_pso(objective_fn, bounds, 2 * scenario.n_bs,
-                     PsoConfig(max_iterations=max_iterations),
-                     np.random.default_rng(3000 + k))
-    return result, cache[result.best_x.tobytes()].auc_value
+    # plan_placement searches the map's bounds, (0, 0) to (525, 525)
+    assert scenario.bounds == (0.0, 0.0, 525.0, 525.0)
+    result, best_aucs = plan_placement(
+        scenario, eval_cfg, PsoConfig(max_iterations=max_iterations, objective=objective),
+        np.random.default_rng(3000 + k),
+    )
+    return result, best_aucs[-1]
 
 
 class TestSwarmSearch:

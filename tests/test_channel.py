@@ -7,11 +7,11 @@ import pytest
 
 from irlv.channel import (
     ChannelParams,
+    EmbeddingError,
     ShadowingField,
     _exponential_cov_dense,
     _exponential_cov_fft,
     attenuation_matrix,
-    attenuation_vector,
     field_seed,
     generate_fields,
     generate_shadowing_field,
@@ -24,6 +24,11 @@ from irlv.scenario import CircularScenario, Position, StreetScenario
 
 
 PARAMS = ChannelParams()
+
+
+def _attenuation_at(scenario, fields, params, pos) -> np.ndarray:
+    """Attenuation from one position: a one-row attenuation_matrix."""
+    return attenuation_matrix(scenario, fields, params, np.array([pos], dtype=float))[0]
 
 
 class TestChannelParams:
@@ -139,6 +144,14 @@ class TestShadowingStatistics:
         )
         self._check_cov(reals)
 
+    @pytest.mark.parametrize("d_c", [1000.0, 5000.0])
+    def test_fft_route_rejects_indefinite_embedding(self, d_c):
+        """Street map, 5 m grid: three paddings to 1728x1728 leave a negative
+        eigenvalue mass of 5.9e-5 (d_c = 1000 m) and 2.3e-2 (d_c = 5000 m)
+        of the positive mass, above the 1e-6 that may be clipped."""
+        with pytest.raises(EmbeddingError, match="1728x1728: negative eigenvalue mass"):
+            _exponential_cov_fft(106, 106, 5.0, 8.0, d_c, np.random.default_rng(0))
+
     def test_fft_route_is_zero_mean(self):
         rng = np.random.default_rng(1)
         reals = np.stack(
@@ -250,6 +263,16 @@ class TestFieldIo:
         assert (g.origin_x, g.origin_y, g.spacing) == (f.origin_x, f.origin_y, f.spacing)
         assert (g.sigma_s_db, g.d_c_m, g.seed) == (f.sigma_s_db, f.d_c_m, f.seed)
 
+    def test_missing_header_key_named(self, tmp_path):
+        f = generate_shadowing_field(CircularScenario.default(), PARAMS, seed=5)
+        path = tmp_path / "field.csv"
+        save_field(f, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].split(" sigma_s_db=")[0] + "\n"  # truncated header
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="'sigma_s_db'"):
+            load_field(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("x,y\n1,2\n")
@@ -261,7 +284,7 @@ class TestAttenuation:
     def test_no_shadowing_is_pure_path_loss(self):
         s = StreetScenario.default()
         ue = Position(200.0, 262.5)  # on the horizontal street
-        a = attenuation_vector(s, None, PARAMS, ue)
+        a = _attenuation_at(s, None, PARAMS, ue)
         assert a.shape == (5,)
         d0 = math.hypot(200.0 - 127.5, 0.0)
         np.testing.assert_allclose(a[0], path_loss_los_db(d0, PARAMS), rtol=1e-12)
@@ -280,11 +303,12 @@ class TestAttenuation:
         s = CircularScenario.default()
         fields = generate_fields(s, PARAMS, base_seed=11)
         ue = Position(10.0, -5.0)
-        with_s = attenuation_vector(s, fields, PARAMS, ue)
-        without = attenuation_vector(s, None, PARAMS, ue)
+        with_s = _attenuation_at(s, fields, PARAMS, ue)
+        without = _attenuation_at(s, None, PARAMS, ue)
         np.testing.assert_allclose(with_s - without, fields[0].at(10.0, -5.0), rtol=1e-12)
 
     def test_matrix_matches_vector(self):
+        """Each row of a batch query equals the one-row query."""
         s = StreetScenario.default()
         fields = generate_fields(s, PARAMS, base_seed=3)
         rng = np.random.default_rng(8)
@@ -292,7 +316,7 @@ class TestAttenuation:
         mat = attenuation_matrix(s, fields, PARAMS, xy)
         assert mat.shape == (40, 5)
         for k in (0, 17, 39):
-            np.testing.assert_allclose(mat[k], attenuation_vector(s, fields, PARAMS, xy[k]))
+            np.testing.assert_allclose(mat[k], _attenuation_at(s, fields, PARAMS, xy[k]))
 
     def test_field_count_mismatch_rejected(self):
         s = StreetScenario.default()

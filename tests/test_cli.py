@@ -107,11 +107,13 @@ class TestRoc:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
     def test_parallel_jobs_change_nothing(self, tmp_path):
-        cfg = write_cfg(tmp_path, CIRCULAR)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["roc", "--config", cfg, "--out", a, "--jobs", 1]) == 0
-        assert run(["roc", "--config", cfg, "--out", b, "--jobs", 2]) == 0
-        assert read_manifest(a)["outputs"] == read_manifest(b)["outputs"]
+        # plan shares the job fan-out, so it is checked here as well
+        for command, text in (("roc", CIRCULAR), ("plan", STREET)):
+            cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
+            a, b = tmp_path / f"{command}1", tmp_path / f"{command}2"
+            assert run([command, "--config", cfg, "--out", a, "--jobs", 1]) == 0
+            assert run([command, "--config", cfg, "--out", b, "--jobs", 2]) == 0
+            assert read_manifest(a)["outputs"] == read_manifest(b)["outputs"]
 
     def test_seed_offset_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULAR)
@@ -237,16 +239,23 @@ class TestExitCodes:
         def blow_up(*args, **kwargs):
             raise TrainingDivergedError("training diverged")
 
-        monkeypatch.setattr("irlv.cli.train", blow_up)
+        monkeypatch.setattr("irlv.planner.train", blow_up)
         cfg = write_cfg(tmp_path, CIRCULAR)
         assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_indefinite_field_embedding_is_numeric_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, STREET.replace("sigma_s_db = 0.0", "d_c_m = 1000.0"))
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: circulant embedding" in err
+        assert "negative eigenvalue mass is 5.9e-05" in err
 
     def test_degenerate_data_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise ValueError("feature 0 has zero variance")
 
-        monkeypatch.setattr("irlv.cli.normalize", degenerate)
+        monkeypatch.setattr("irlv.planner.normalize", degenerate)
         cfg = write_cfg(tmp_path, CIRCULAR)
         assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert "numeric failure" in capsys.readouterr().err

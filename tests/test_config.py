@@ -1,14 +1,24 @@
 """Config parsing: strict keys, named errors, scenario construction."""
 
+import dataclasses
+
 import pytest
 
+from irlv.channel import ChannelParams
 from irlv.config import (
     ConfigError,
+    DataConfig,
+    EvalConfig,
+    NnConfig,
+    RunConfig,
+    ScenarioConfig,
     Seeds,
+    SweepConfig,
     build_scenario,
     default_config_path,
     load_config,
 )
+from irlv.planner import PsoConfig
 from irlv.scenario import CircularScenario, StreetScenario
 
 MINIMAL = """\
@@ -39,13 +49,26 @@ class TestLoadConfig:
         assert cfg.pso.c1 == cfg.pso.c2 == 1.4961
         assert cfg.data.s_total == 20_000
         assert cfg.seeds == Seeds(0, 1, 2, 3)
+        # every absent key takes its dataclass default
+        assert cfg == RunConfig(
+            scenario=ScenarioConfig(), channel=ChannelParams(), nn=NnConfig(),
+            data=DataConfig(), pso=PsoConfig(), objective=PsoConfig().objective,
+            eval=EvalConfig(), sweep=SweepConfig(), seeds=Seeds(0, 1, 2, 3),
+        )
 
     def test_shipped_config_loads(self):
+        """paper.cfg writes out the dataclass defaults; it differs only where
+        it plans with both objectives and sweeps several sizes."""
         cfg = load_config(default_config_path())
-        assert cfg.sweep.n_hidden == (2, 4, 8, 16)
-        assert cfg.sweep.s_total == (1_000, 10_000, 100_000)
-        assert cfg.objective == "both"
-        assert cfg.sweep.n_field_realizations == 500
+        assert cfg.objective == "both" != PsoConfig().objective
+        sweep = dataclasses.replace(
+            SweepConfig(), n_hidden=(2, 4, 8, 16), s_total=(1_000, 10_000, 100_000)
+        )
+        assert cfg == RunConfig(
+            scenario=ScenarioConfig(), channel=ChannelParams(), nn=NnConfig(),
+            data=DataConfig(), pso=PsoConfig(), objective="both",
+            eval=EvalConfig(), sweep=sweep, seeds=Seeds(0, 1, 2, 3),
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

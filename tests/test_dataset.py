@@ -12,7 +12,7 @@ from irlv.dataset import (
     save_dataset,
     split,
 )
-from irlv.scenario import CircularScenario, StreetScenario, in_roi
+from irlv.scenario import CircularScenario, StreetScenario
 
 
 PARAMS = ChannelParams()
@@ -37,8 +37,7 @@ class TestGenerateDataset:
     def test_labels_match_positions(self):
         scenario = StreetScenario.default()
         ds = _small_dataset(scenario=scenario)
-        for sample in ds:
-            assert sample.t == in_roi(scenario, sample.pos)
+        np.testing.assert_array_equal(ds.labels, scenario.in_roi_many(ds.positions))
 
     def test_order_is_shuffled(self):
         ds = _small_dataset(s_total=400)

@@ -62,8 +62,6 @@ class TestInit:
             init_mlp([5, 0, 1], seed=0)
         with pytest.raises(ValueError):
             init_mlp([5, 8, 2], seed=0)
-        with pytest.raises(ValueError):
-            init_mlp([5, 8, 1], seed=0, scale_rule="he")
 
     def test_inconsistent_mlp_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from irlv.channel import ChannelParams
+from irlv.channel import ChannelParams, generate_fields
+from irlv.evaluation import auc
 from irlv.mlp import TrainConfig
 from irlv.planner import (
     OBJECTIVE_AUC,
@@ -14,7 +15,6 @@ from irlv.planner import (
     Particle,
     PlacementEvalConfig,
     PsoConfig,
-    evaluate_objective,
     evaluate_placement,
     init_swarm,
     plan_placement,
@@ -231,35 +231,47 @@ FAST_EVAL = PlacementEvalConfig(
 )
 
 
+def _score(scenario, xy, cfg):
+    """evaluate_placement of one placement, with its own fields."""
+    placed = scenario.with_bs_positions(np.reshape(xy, (-1, 2)))
+    return evaluate_placement(placed, generate_fields(placed, cfg.channel, cfg.field_seed), cfg)
+
+
 class TestEvaluatePlacement:
     def test_deterministic(self):
         scenario = DiscRoiScenario()
-        a = evaluate_placement(scenario, [50.0, 50.0], FAST_EVAL)
-        b = evaluate_placement(scenario, [50.0, 50.0], FAST_EVAL)
-        assert a == b
+        a = _score(scenario, [50.0, 50.0], FAST_EVAL)
+        b = _score(scenario, [50.0, 50.0], FAST_EVAL)
+        assert (a.ce_bits, a.auc_value) == (b.ce_bits, b.auc_value)
+        np.testing.assert_array_equal(a.roc.p_fa, b.roc.p_fa)
+        np.testing.assert_array_equal(a.roc.p_md, b.roc.p_md)
 
     def test_separable_placement_trains_to_low_ce(self):
         """A base station at the disc center makes the single attenuation
         feature perfectly separable, so training drives CE near zero."""
-        value = evaluate_objective([50.0, 50.0], OBJECTIVE_CE, DiscRoiScenario(), FAST_EVAL)
-        assert value < 0.1
+        assert _score(DiscRoiScenario(), [50.0, 50.0], FAST_EVAL).ce_bits < 0.1
 
     def test_uninformative_labels_give_half_auc(self):
-        value = evaluate_objective(
-            [50.0, 50.0], OBJECTIVE_AUC, CheckerboardScenario(), FAST_EVAL
-        )
+        value = _score(CheckerboardScenario(), [50.0, 50.0], FAST_EVAL).auc_value
         assert abs(value - 0.5) < 0.05
 
     def test_objective_selects_metric(self):
+        """A frozen one-particle swarm started at a placement reports that
+        placement's CE or AUC, as its objective says."""
         scenario = DiscRoiScenario()
-        score = evaluate_placement(scenario, [30.0, 70.0], FAST_EVAL)
-        ce = evaluate_objective([30.0, 70.0], OBJECTIVE_CE, scenario, FAST_EVAL)
-        au = evaluate_objective([30.0, 70.0], OBJECTIVE_AUC, scenario, FAST_EVAL)
-        assert (ce, au) == (score.ce_bits, score.auc_value)
+        score = _score(scenario, [30.0, 70.0], FAST_EVAL)
+        for objective, expected in ((OBJECTIVE_CE, score.ce_bits), (OBJECTIVE_AUC, score.auc_value)):
+            pso = PsoConfig(n_particles=1, max_iterations=0, objective=objective)
+            result, aucs = plan_placement(scenario, FAST_EVAL, pso, np.random.default_rng(0),
+                                          initial_positions=[[30.0, 70.0]])
+            assert result.history == [expected]
+            assert aucs == [score.auc_value]
+        assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_objective([50.0, 50.0], "f1", DiscRoiScenario(), FAST_EVAL)
+            plan_placement(DiscRoiScenario(), FAST_EVAL, PsoConfig(objective="f1"),
+                           np.random.default_rng(0))
 
 
 class TestPlanPlacement:
@@ -280,19 +292,37 @@ class TestPlanPlacement:
         scenario = DiscRoiScenario()
         grid = np.linspace(10.0, 90.0, 5)
         grid_best = min(
-            evaluate_objective([x, y], OBJECTIVE_CE, scenario, self.GRID_EVAL)
+            _score(scenario, [x, y], self.GRID_EVAL).ce_bits
             for x in grid
             for y in grid
         )
         pso = PsoConfig(n_particles=5, max_iterations=40, stall_iterations=8)
-        result = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(1))
+        result, _ = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(1))
         assert result.best_value <= grid_best * 1.05 + 1e-3
 
     def test_history_monotone(self):
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=4, stall_iterations=2)
-        result = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(2))
+        result, _ = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(2))
         assert all(b <= a for a, b in zip(result.history, result.history[1:]))
+
+    def test_fields_drawn_once_per_run(self, monkeypatch):
+        """Fields do not depend on the placement, so one run draws them
+        once; the per-iteration AUCs are those of the best placements."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_fields(*args, **kwargs)
+
+        monkeypatch.setattr("irlv.planner.generate_fields", counting)
+        scenario = DiscRoiScenario()
+        pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
+        result, aucs = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(5))
+        assert len(calls) == 1
+        assert len(result.particle_values) == 4  # 12 evaluated placements
+        assert aucs == [_score(scenario, x, self.GRID_EVAL).auc_value
+                        for x in result.best_x_history]
 
     def test_two_stage_refinement(self):
         scenario = DiscRoiScenario()

@@ -14,35 +14,16 @@ from irlv.scenario import (
     Position,
     Rectangle,
     StreetScenario,
-    distance,
-    in_roi,
-    is_los,
-    sample_uniform,
 )
 
 
-class TestDistance:
-    def test_pythagorean_triple(self):
-        assert distance(Position(0.0, 0.0), Position(3.0, 4.0)) == 5.0
+# one-row queries through the batch API
+def _in_roi(scenario, pos) -> int:
+    return int(scenario.in_roi_many(np.array([pos], dtype=float))[0])
 
-    def test_identity(self):
-        p = Position(12.5, -3.25)
-        assert distance(p, p) == 0.0
 
-    def test_symmetry_and_triangle_inequality(self):
-        """d(p,q) = d(q,p) and d(p,r) <= d(p,q) + d(q,r) on random triples."""
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            p, q, r = (Position(*rng.uniform(-500, 500, 2)) for _ in range(3))
-            assert distance(p, q) == distance(q, p)
-            assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12
-
-    def test_map_diagonal(self):
-        s = StreetScenario.default()
-        corner = Position(s.map_side, s.map_side)
-        np.testing.assert_allclose(
-            distance(Position(0, 0), corner), 525.0 * math.sqrt(2), rtol=1e-12
-        )
+def _is_los(scenario, pos, bs_index: int) -> bool:
+    return bool(scenario.los_mask(np.array([pos], dtype=float), bs_index)[0])
 
 
 class TestRectangle:
@@ -111,14 +92,14 @@ class TestStreetScenarioGeometry:
 
     def test_in_roi_labels(self):
         s = StreetScenario.default()
-        assert in_roi(s, Position(191.25, 191.25)) == 0
-        assert in_roi(s, Position(127.5, 127.5)) == 0
-        assert in_roi(s, Position(400.0, 400.0)) == 1
-        assert in_roi(s, Position(262.5, 262.5)) == 1
+        assert _in_roi(s, Position(191.25, 191.25)) == 0
+        assert _in_roi(s, Position(127.5, 127.5)) == 0
+        assert _in_roi(s, Position(400.0, 400.0)) == 1
+        assert _in_roi(s, Position(262.5, 262.5)) == 1
         with pytest.raises(OutOfMapError):
-            in_roi(s, Position(-1.0, 10.0))
+            _in_roi(s, Position(-1.0, 10.0))
         with pytest.raises(OutOfMapError):
-            in_roi(s, Position(10.0, 526.0))
+            _in_roi(s, Position(10.0, 526.0))
 
     def test_with_bs_positions(self):
         s = StreetScenario.default()
@@ -134,42 +115,43 @@ class TestStreetLos:
     def test_horizontal_street_bs(self):
         s = StreetScenario.default()
         # BS 0 is at (127.5, 262.5), on the horizontal street only.
-        assert is_los(s, Position(500.0, 262.5), 0)
-        assert not is_los(s, Position(262.5, 500.0), 0)
+        assert _is_los(s, Position(500.0, 262.5), 0)
+        assert not _is_los(s, Position(262.5, 500.0), 0)
 
     def test_vertical_street_bs(self):
         s = StreetScenario.default()
         # BS 2 is at (262.5, 127.5), on the vertical street only.
-        assert is_los(s, Position(262.5, 10.0), 2)
-        assert not is_los(s, Position(10.0, 262.5), 2)
+        assert _is_los(s, Position(262.5, 10.0), 2)
+        assert not _is_los(s, Position(10.0, 262.5), 2)
 
     def test_central_bs_sees_both_streets(self):
         s = StreetScenario.default()
         # BS 4 at the crossing belongs to both streets.
-        assert is_los(s, Position(10.0, 262.5), 4)
-        assert is_los(s, Position(262.5, 10.0), 4)
+        assert _is_los(s, Position(10.0, 262.5), 4)
+        assert _is_los(s, Position(262.5, 10.0), 4)
 
     def test_off_street_point_is_never_los(self):
         s = StreetScenario.default()
         for n in range(s.n_bs):
-            assert not is_los(s, Position(191.25, 191.25), n)
+            assert not _is_los(s, Position(191.25, 191.25), n)
 
     def test_off_street_bs_is_never_los(self):
         s = StreetScenario.default().with_bs_positions([(50.0, 50.0)])
-        assert not is_los(s, Position(262.5, 262.5), 0)
+        assert not _is_los(s, Position(262.5, 262.5), 0)
 
     def test_bad_index(self):
         s = StreetScenario.default()
         with pytest.raises(IndexError):
-            is_los(s, Position(262.5, 262.5), 5)
+            _is_los(s, Position(262.5, 262.5), 5)
 
     def test_los_mask_matches_scalar_route(self):
+        """A batch query answers each point as a one-row query does."""
         s = StreetScenario.default()
         rng = np.random.default_rng(7)
         xy = s.sample_region(REGION_MAP, rng, 300)
         for n in range(s.n_bs):
             mask = s.los_mask(xy, n)
-            scalar = np.array([is_los(s, Position(x, y), n) for x, y in xy])
+            scalar = np.array([_is_los(s, Position(x, y), n) for x, y in xy])
             np.testing.assert_array_equal(mask, scalar)
 
 
@@ -178,40 +160,40 @@ class TestStreetSampling:
         """Uniform draws over the ROI average to its centroid."""
         s = StreetScenario.default()
         rng = np.random.default_rng(42)
-        xy = sample_uniform(s, REGION_INSIDE, rng, 20000)
+        xy = s.sample_region(REGION_INSIDE, rng, 20000)
         np.testing.assert_allclose(xy.mean(axis=0), (191.25, 191.25), rtol=0.01)
 
     def test_label_purity(self):
         s = StreetScenario.default()
         rng = np.random.default_rng(42)
-        inside = sample_uniform(s, REGION_INSIDE, rng, 2000)
-        outside = sample_uniform(s, REGION_OUTSIDE, rng, 2000)
+        inside = s.sample_region(REGION_INSIDE, rng, 2000)
+        outside = s.sample_region(REGION_OUTSIDE, rng, 2000)
         assert np.all(s.in_roi_many(inside) == 0)
         assert np.all(s.in_roi_many(outside) == 1)
 
     def test_single_draw_is_a_position(self):
         s = StreetScenario.default()
         rng = np.random.default_rng(0)
-        p = sample_uniform(s, REGION_INSIDE, rng)
-        assert isinstance(p, Position)
-        assert in_roi(s, p) == 0
+        xy = s.sample_region(REGION_INSIDE, rng, 1)
+        assert xy.shape == (1, 2)
+        assert _in_roi(s, Position(*xy[0])) == 0
 
     def test_map_sampler_covers_streets_and_buildings(self):
         s = StreetScenario.default()
         rng = np.random.default_rng(3)
-        xy = sample_uniform(s, REGION_MAP, rng, 5000)
+        xy = s.sample_region(REGION_MAP, rng, 5000)
         on_street = s.on_street(xy[:, 0], xy[:, 1])
         assert 0 < on_street.sum() < len(xy)
 
     def test_unknown_region_rejected(self):
         s = StreetScenario.default()
         with pytest.raises(ValueError):
-            sample_uniform(s, "elsewhere", np.random.default_rng(0), 4)
+            s.sample_region("elsewhere", np.random.default_rng(0), 4)
 
     def test_reproducible(self):
         s = StreetScenario.default()
-        a = sample_uniform(s, REGION_OUTSIDE, np.random.default_rng(11), 50)
-        b = sample_uniform(s, REGION_OUTSIDE, np.random.default_rng(11), 50)
+        a = s.sample_region(REGION_OUTSIDE, np.random.default_rng(11), 50)
+        b = s.sample_region(REGION_OUTSIDE, np.random.default_rng(11), 50)
         np.testing.assert_array_equal(a, b)
 
 
@@ -239,15 +221,15 @@ class TestCircularScenario:
 
     def test_in_roi_and_bounds(self):
         c = CircularScenario.default()
-        assert in_roi(c, Position(10.0, 0.0)) == 0
-        assert in_roi(c, Position(-10.0, 0.0)) == 1
-        assert in_roi(c, Position(0.0, 40.0)) == 1
+        assert _in_roi(c, Position(10.0, 0.0)) == 0
+        assert _in_roi(c, Position(-10.0, 0.0)) == 1
+        assert _in_roi(c, Position(0.0, 40.0)) == 1
         with pytest.raises(OutOfMapError):
-            in_roi(c, Position(40.1, 0.0))
+            _in_roi(c, Position(40.1, 0.0))
 
     def test_always_los(self):
         c = CircularScenario.default()
-        assert is_los(c, Position(-30.0, 20.0), 0)
+        assert _is_los(c, Position(-30.0, 20.0), 0)
         rng = np.random.default_rng(5)
         xy = c.sample_region(REGION_MAP, rng, 100)
         assert np.all(c.los_mask(xy, 0))
@@ -255,8 +237,8 @@ class TestCircularScenario:
     def test_samplers_respect_regions(self):
         c = CircularScenario.default()
         rng = np.random.default_rng(42)
-        inside = sample_uniform(c, REGION_INSIDE, rng, 1000)
-        outside = sample_uniform(c, REGION_OUTSIDE, rng, 1000)
+        inside = c.sample_region(REGION_INSIDE, rng, 1000)
+        outside = c.sample_region(REGION_OUTSIDE, rng, 1000)
         assert np.all(c.in_roi_many(inside) == 0)
         assert np.all(c.in_roi_many(outside) == 1)
         r = np.hypot(outside[:, 0], outside[:, 1])
@@ -265,5 +247,5 @@ class TestCircularScenario:
     def test_inside_sampler_centroid(self):
         c = CircularScenario.default()
         rng = np.random.default_rng(42)
-        xy = sample_uniform(c, REGION_INSIDE, rng, 20000)
+        xy = c.sample_region(REGION_INSIDE, rng, 20000)
         np.testing.assert_allclose(xy.mean(axis=0), (16.5, 0.0), atol=0.3)
