@@ -190,7 +190,7 @@ def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
     m_total = mx * my
     xi = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
     w = scipy.fft.fft2(np.sqrt(lam / m_total) * xi)
-    return w.real[:ny, :nx]
+    return w.real[:ny, :nx].copy()  # a view would keep the padded array alive
 
 
 def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> ShadowingField:

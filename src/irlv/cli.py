@@ -34,7 +34,7 @@ from .config import (
     load_config,
 )
 from .evaluation import auc, average_roc, roc_to_csv
-from .mlp import TrainConfig, TrainingDivergedError
+from .mlp import TrainingDivergedError
 from .mlp import train  # noqa: F401  bench/tests/test_bench.py checks that tracing patches it here
 from .neyman_pearson import SectorGeometry, np_roc
 from .planner import (
@@ -82,16 +82,12 @@ def _map_jobs(fn, payloads, jobs: int):
         return [f.result() for f in futures]
 
 
-def _eval_config(cfg: RunConfig, seeds: Seeds, n_hidden: int, s_total: int) -> PlacementEvalConfig:
-    """The placement-evaluation settings of a run for one set of seeds."""
-    return PlacementEvalConfig(
-        channel=cfg.channel, s_total=s_total, p0=cfg.data.p0,
-        train_frac=cfg.data.train_frac, n_hidden=n_hidden, n_layers=cfg.nn.n_layers,
-        train=TrainConfig(
-            learning_rate=cfg.nn.learning_rate, epochs=cfg.nn.epochs,
-            batch_size=cfg.nn.batch_size, seed=seeds.init,
-        ),
-        field_seed=seeds.field, dataset_seed=seeds.dataset, init_seed=seeds.init,
+def _task_config(cfg: RunConfig, seeds: Seeds, **overrides) -> PlacementEvalConfig:
+    """The run's placement settings for one set of seeds, with any sweep
+    sizes or channel the task sets in overrides."""
+    return dataclasses.replace(
+        cfg.placement, train=dataclasses.replace(cfg.placement.train, seed=seeds.init),
+        field_seed=seeds.field, dataset_seed=seeds.dataset, init_seed=seeds.init, **overrides,
     )
 
 
@@ -107,7 +103,7 @@ def cmd_roc(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
     payloads = [
-        (scenario, _eval_config(cfg, cfg.seeds.shifted(offset + k), nh, s))
+        (scenario, _task_config(cfg, cfg.seeds.shifted(offset + k), n_hidden=nh, s_total=s))
         for nh, s, k in tasks
     ]
     scores = _map_jobs(_evaluate_task, payloads, jobs)
@@ -142,16 +138,14 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
     if cfg.scenario.kind != SCENARIO_CIRCULAR:
         raise ConfigError("[scenario] kind: np-compare requires the circular scenario")
     scenario = build_scenario(cfg.scenario)
-    params = dataclasses.replace(cfg.channel, sigma_s_db=0.0)
-    quiet = dataclasses.replace(cfg, channel=params)
+    params = dataclasses.replace(cfg.placement.channel, sigma_s_db=0.0)
     seeds = cfg.seeds.shifted(offset)
-    eval_cfg = _eval_config(quiet, seeds, cfg.nn.n_hidden, cfg.data.s_total)
-    nn_curve = _evaluate_task(scenario, eval_cfg).roc
+    nn_curve = _evaluate_task(scenario, _task_config(cfg, seeds, channel=params)).roc
 
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
-    n_np = max(cfg.eval.n_np_samples, 10_000)
-    np_curve = np_roc(geometry, params, n_np, thetas, _tagged_rng(seeds.dataset, 1))
+    np_curve = np_roc(geometry, params, cfg.eval.n_np_samples, thetas,
+                      _tagged_rng(seeds.dataset, 1))
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])
@@ -168,8 +162,8 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
             "roi_height": scenario.roi.ymax - scenario.roi.ymin,
             "r_min": scenario.r_min,
         },
-        "n_np_samples": n_np,
-        "s_total": cfg.data.s_total,
+        "n_np_samples": cfg.eval.n_np_samples,
+        "s_total": cfg.placement.s_total,
     })
     return ["nn_roc.csv", "np_roc.csv", "summary.json"]
 
@@ -200,7 +194,7 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
     for obj, k in tasks:
         seeds = cfg.seeds.shifted(offset + k)
         payloads.append((
-            scenario, _eval_config(cfg, seeds, cfg.nn.n_hidden, cfg.data.s_total),
+            scenario, _task_config(cfg, seeds),
             dataclasses.replace(cfg.pso, objective=obj), np.random.default_rng(seeds.pso),
         ))
     runs = dict(zip(tasks, _map_jobs(plan_placement, payloads, jobs)))
@@ -241,7 +235,7 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
             "final_mean_auc": float(mean_auc[-1]),
             "flags": proxy_validity_flags(obj, mean_auc),
             "converged": converged,
-            "s_total": cfg.data.s_total,
+            "s_total": cfg.placement.s_total,
         }
     _write_json(out_dir / "summary.json", summary)
     outputs.append("summary.json")
@@ -255,7 +249,7 @@ def cmd_field(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
     a plain product average over realizations, along both grid axes.
     """
     scenario = build_scenario(cfg.scenario)
-    params = cfg.channel
+    params = cfg.placement.channel
     seeds = cfg.seeds.shifted(offset)
     outputs = []
     fields = generate_fields(scenario, params, seeds.field)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .mlp import TrainConfig
-from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PsoConfig
+from .neyman_pearson import MIN_NP_ROC_SAMPLES
+from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig
 from .scenario import CircularScenario, StreetScenario
 
 SCENARIO_STREET = "street"
@@ -35,22 +36,6 @@ class ScenarioConfig:
     roi_width: float = 25.0
     roi_height: float = 25.0
     r_min: float = 4.0
-
-
-@dataclass(frozen=True)
-class NnConfig:
-    n_hidden: int = 8
-    n_layers: int = 3
-    learning_rate: float = 0.05
-    epochs: int = 200
-    batch_size: int = 128
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    s_total: int = 20_000
-    p0: float = 0.5
-    train_frac: float = 0.7
 
 
 @dataclass(frozen=True)
@@ -85,9 +70,7 @@ class Seeds:
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
-    channel: ChannelParams
-    nn: NnConfig
-    data: DataConfig
+    placement: PlacementEvalConfig  # [channel], [nn], [dataset]; seeds filled in per task
     pso: PsoConfig
     objective: str  # ce, auc, or both
     eval: EvalConfig
@@ -96,7 +79,31 @@ class RunConfig:
     output_dir: str = "runs"
 
 
+def _names(cls, *skip: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# Every key a config may set: [section] -> {dataclass: the fields of it the
+# section sets, named as the keys}.  load_config reads through this table
+# and rejects any section or key it does not list.
+SECTIONS = {
+    "scenario": {ScenarioConfig: _names(ScenarioConfig)},
+    # the speed of light is a constant, not a setting
+    "channel": {ChannelParams: _names(ChannelParams, "c_m_s")},
+    "nn": {PlacementEvalConfig: ("n_hidden", "n_layers"),
+           TrainConfig: ("learning_rate", "epochs", "batch_size")},
+    "dataset": {PlacementEvalConfig: ("s_total", "p0", "train_frac")},
+    "pso": {PsoConfig: _names(PsoConfig)},
+    "eval": {EvalConfig: _names(EvalConfig)},
+    "sweep": {SweepConfig: _names(SweepConfig)},
+    "seeds": {Seeds: _names(Seeds)},
+    "output": {RunConfig: ("directory",)},  # read into RunConfig.output_dir
+}
+
+
 def _parse(raw: str, section: str, key: str, kind):
+    if kind is tuple and not raw.replace(",", "").strip():
+        raise ConfigError(f"[{section}] {key}: empty list")
     try:
         if kind is int:
             return int(raw)
@@ -104,6 +111,8 @@ def _parse(raw: str, section: str, key: str, kind):
             return float(raw)
         if kind is str:
             return raw.strip()
+        if kind is tuple:  # a comma-separated list of integers
+            return tuple(int(part) for part in raw.split(",") if part.strip())
         raise TypeError(kind)
     except (TypeError, ValueError):
         raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}") from None
@@ -115,24 +124,15 @@ def _get(parser, section: str, key: str, kind):
     return _parse(parser.get(section, key), section, key, kind)
 
 
-def _read(parser, section: str, cls, *skip: str) -> dict:
-    """The keys of one section that the file sets, parsed as the type of
-    the matching field default of cls; fields in skip are not read."""
+def _read(parser, section: str, cls) -> dict:
+    """The keys the file sets among those SECTIONS lists for cls in the
+    section, each parsed as the type of its field default."""
+    defaults = {f.name: f.default for f in fields(cls)}
     return {
-        f.name: _get(parser, section, f.name, type(f.default))
-        for f in fields(cls)
-        if f.name not in skip and parser.has_option(section, f.name)
+        key: _get(parser, section, key, type(defaults[key]))
+        for key in SECTIONS[section][cls]
+        if parser.has_option(section, key)
     }
-
-
-def _get_list(parser, section: str, key: str, kind, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return tuple(_parse(item, section, key, kind) for item in items)
 
 
 def default_config_path() -> Path:
@@ -150,32 +150,36 @@ def load_config(path) -> RunConfig:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    for section in parser.sections():
+        if section not in SECTIONS:
+            raise ConfigError(f"[{section}]: unknown section")
+        known = {key for keys in SECTIONS[section].values() for key in keys}
+        unknown = [key for key in parser.options(section) if key not in known]
+        if unknown:
+            raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
     scenario = ScenarioConfig(**_read(parser, "scenario", ScenarioConfig))
     if scenario.kind not in (SCENARIO_STREET, SCENARIO_CIRCULAR):
         raise ConfigError(f"[scenario] kind: unknown scenario {scenario.kind!r}")
 
     try:
-        # the speed of light is a constant, not a setting
-        channel = ChannelParams(**_read(parser, "channel", ChannelParams, "c_m_s"))
+        channel = ChannelParams(**_read(parser, "channel", ChannelParams))
     except ValueError as exc:
         raise ConfigError(f"[channel] {exc}") from None
-
-    nn = NnConfig(**_read(parser, "nn", NnConfig))
-    if nn.n_hidden < 1 or nn.n_layers < 1:
-        raise ConfigError("[nn] n_hidden/n_layers: must be at least 1")
     try:
-        TrainConfig(
-            learning_rate=nn.learning_rate, epochs=nn.epochs,
-            batch_size=nn.batch_size, seed=0,
-        )
+        train = TrainConfig(**_read(parser, "nn", TrainConfig))
     except ValueError as exc:
         raise ConfigError(f"[nn] {exc}") from None
-
-    data = DataConfig(**_read(parser, "dataset", DataConfig))
-    if not 0.0 < data.p0 < 1.0:
+    placement = PlacementEvalConfig(
+        channel=channel, train=train,
+        **_read(parser, "nn", PlacementEvalConfig),
+        **_read(parser, "dataset", PlacementEvalConfig),
+    )
+    if placement.n_hidden < 1 or placement.n_layers < 1:
+        raise ConfigError("[nn] n_hidden/n_layers: must be at least 1")
+    if not 0.0 < placement.p0 < 1.0:
         raise ConfigError("[dataset] p0: must lie strictly between 0 and 1")
-    if not 0.0 < data.train_frac < 1.0:
+    if not 0.0 < placement.train_frac < 1.0:
         raise ConfigError("[dataset] train_frac: must lie strictly between 0 and 1")
 
     # [pso] objective may also be "both", which no single swarm run takes
@@ -189,29 +193,30 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"[pso] {exc}") from None
 
     eval_cfg = EvalConfig(**_read(parser, "eval", EvalConfig))
+    if eval_cfg.n_np_samples < MIN_NP_ROC_SAMPLES:
+        raise ConfigError(f"[eval] n_np_samples: need at least {MIN_NP_ROC_SAMPLES}")
     if eval_cfg.n_thetas < 2:
         raise ConfigError("[eval] n_thetas: need at least 2 thresholds")
 
     # the sweep lists default to the single [nn]/[dataset] value
-    sweep = SweepConfig(
-        n_hidden=_get_list(parser, "sweep", "n_hidden", int, (nn.n_hidden,)),
-        s_total=_get_list(parser, "sweep", "s_total", int, (data.s_total,)),
-        **_read(parser, "sweep", SweepConfig, "n_hidden", "s_total"),
-    )
+    sweep = SweepConfig(**{
+        "n_hidden": (placement.n_hidden,), "s_total": (placement.s_total,),
+        **_read(parser, "sweep", SweepConfig),
+    })
     if sweep.n_seeds < 1 or sweep.n_field_realizations < 1:
         raise ConfigError("[sweep] n_seeds/n_field_realizations: must be at least 1")
-    smallest_split = int(min(sweep.s_total + (data.s_total,)) * data.train_frac)
-    if nn.batch_size > smallest_split:
+    smallest_split = int(min(sweep.s_total + (placement.s_total,)) * placement.train_frac)
+    if train.batch_size > smallest_split:
         raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")
 
-    seeds = Seeds(**{f.name: _get(parser, "seeds", f.name, int) for f in fields(Seeds)})
+    seeds = Seeds(**{key: _get(parser, "seeds", key, int) for key in SECTIONS["seeds"][Seeds]})
 
     output = {}
     if parser.has_option("output", "directory"):
         output["output_dir"] = _get(parser, "output", "directory", str)
     return RunConfig(
-        scenario=scenario, channel=channel, nn=nn, data=data, pso=pso,
-        objective=objective, eval=eval_cfg, sweep=sweep, seeds=seeds, **output,
+        scenario=scenario, placement=placement, pso=pso, objective=objective,
+        eval=eval_cfg, sweep=sweep, seeds=seeds, **output,
     )
 
 

@@ -26,9 +26,6 @@ class NormalizationStats:
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 
-    def invert(self, features: np.ndarray) -> np.ndarray:
-        return features * self.std + self.mean
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -51,10 +48,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
     def class_counts(self) -> tuple[int, int]:
         n1 = int(self.labels.sum())
@@ -126,33 +119,4 @@ def normalize(dataset: Dataset, stats: NormalizationStats | None = None) -> Data
         labels=dataset.labels,
         positions=dataset.positions,
         stats=stats,
-    )
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """CSV export: a1..aN in dB (or normalized units), label, x, y."""
-    n = dataset.n_features
-    header = ",".join([f"a{i + 1}" for i in range(n)] + ["label", "x", "y"])
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for i in range(len(dataset)):
-            row = [format(v, ".17g") for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            row.append(format(dataset.positions[i, 0], ".17g"))
-            row.append(format(dataset.positions[i, 1], ".17g"))
-            f.write(",".join(row) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if len(header) < 4 or header[-3:] != ["label", "x", "y"]:
-            raise ValueError(f"not a dataset file: {path}")
-        n = len(header) - 3
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
-    return Dataset(
-        features=data[:, :n],
-        labels=data[:, n].astype(np.int64),
-        positions=data[:, n + 1 :],
     )

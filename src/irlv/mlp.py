@@ -46,10 +46,6 @@ class MLP:
                 raise ValueError(f"layer {l}: non-finite parameters")
 
     @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def n_layers(self) -> int:
         return len(self.weights)
 
@@ -176,63 +172,11 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float]:
     return mlp, final_ce
 
 
-def decide(score, lam: float):
-    """1 where t~ > lambda, else 0 (ties decide 0)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    s = np.asarray(score)
-    out = (s > lam).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
-
-
-def lambda_to_theta(lam: float, prior0: float, prior1: float) -> float:
-    """Likelihood-ratio threshold (1-lambda)/lambda * prior0/prior1.
-
-    The result lives on the ratio scale: a likelihood-ratio test accepts H0
-    when 2**llr_bits >= theta, i.e. llr_bits >= log2(theta).
-    """
-    _check_priors(prior0, prior1)
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie strictly between 0 and 1")
-    return (1.0 - lam) / lam * prior0 / prior1
-
-
 def posterior_from_llr(llr_bits, prior0: float, prior1: float):
     """p(H0 | a) = 1 / (1 + (prior1/prior0) * 2**(-llr_bits))."""
-    _check_priors(prior0, prior1)
+    if prior0 <= 0 or prior1 <= 0 or not math.isclose(prior0 + prior1, 1.0, rel_tol=1e-9):
+        raise ValueError("priors must be positive and sum to 1")
     llr = np.asarray(llr_bits, dtype=float)
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + (prior1 / prior0) * np.exp2(-llr))
     return float(out) if out.ndim == 0 else out
-
-
-def _check_priors(prior0: float, prior1: float) -> None:
-    if prior0 <= 0 or prior1 <= 0 or not math.isclose(prior0 + prior1, 1.0, rel_tol=1e-9):
-        raise ValueError("priors must be positive and sum to 1")
-
-
-_MLP_MAGIC = "mlp-v1"
-
-
-def save_mlp(mlp: MLP, path) -> None:
-    """Versioned flat text format; 17 significant digits for exact round-trip."""
-    with open(path, "w") as f:
-        f.write(_MLP_MAGIC + "\n")
-        f.write(" ".join(str(n) for n in mlp.layer_sizes) + "\n")
-        for w, b in zip(mlp.weights, mlp.biases):
-            for row in w:
-                f.write(" ".join(format(v, ".17g") for v in row) + "\n")
-            f.write(" ".join(format(v, ".17g") for v in b) + "\n")
-
-
-def load_mlp(path) -> MLP:
-    with open(path) as f:
-        if f.readline().strip() != _MLP_MAGIC:
-            raise ValueError(f"not a model file: {path}")
-        sizes = [int(v) for v in f.readline().split()]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            rows = [[float(v) for v in f.readline().split()] for _ in range(fan_out)]
-            weights.append(np.array(rows))
-            biases.append(np.array([float(v) for v in f.readline().split()]))
-    return MLP(weights, biases)

@@ -151,14 +151,6 @@ def llr(a_db, geometry: SectorGeometry, params):
     return float(out[0]) if np.asarray(a_db).ndim == 0 else out
 
 
-def np_decide(a_db, theta: float, geometry: SectorGeometry, params):
-    """0 (inside) when llr >= log2(theta), else 1."""
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise ValueError("theta must be finite and positive")
-    out = (np.atleast_1d(llr(a_db, geometry, params)) < math.log2(theta)).astype(np.int64)
-    return int(out[0]) if np.asarray(a_db).ndim == 0 else out
-
-
 def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
            rng: np.random.Generator) -> RocCurve:
     """Monte-Carlo ROC of the NP test over a grid of ratio thresholds.
@@ -183,7 +175,7 @@ def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
     grid = np.concatenate([[0.0], thetas, [np.inf]])
     with np.errstate(divide="ignore"):
         log_grid = np.log2(grid)
-    # decide 1 iff llr < log2(theta)
+    # label 1 (outside) iff llr < log2(theta)
     p_fa = np.searchsorted(llr0, log_grid, side="left") / n_samples
     p_md = (n_samples - np.searchsorted(llr1, log_grid, side="left")) / n_samples
     return RocCurve.from_points(p_fa, p_md, thresholds=grid)

@@ -1,4 +1,4 @@
-"""Particle-swarm search for base-station placements.
+"""Swarm search (PSO) for base-station placements.
 
 The swarm core is generic: it minimizes any vector objective over a box.
 On top of it, evaluate_placement is the one generate/train/score pipeline:
@@ -13,7 +13,7 @@ objective differences reflect placement alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,6 @@ from .mlp import TrainConfig, default_layer_sizes, forward, init_mlp, train
 OBJECTIVE_CE = "ce"
 OBJECTIVE_AUC = "auc"
 OBJECTIVES = (OBJECTIVE_CE, OBJECTIVE_AUC)
-
-
-@dataclass
-class Particle:
-    x: np.ndarray
-    v: np.ndarray
-    best_x: np.ndarray
-    best_value: float
 
 
 @dataclass(frozen=True)
@@ -58,15 +50,6 @@ class PsoConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
-@dataclass
-class SwarmState:
-    particles: list[Particle]
-    best_x: np.ndarray
-    best_value: float
-    iteration: int = 0
-    history: list[float] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class PsoResult:
     best_x: np.ndarray
@@ -78,99 +61,66 @@ class PsoResult:
     converged: bool
 
 
-def _as_bounds(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = bounds
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).copy()
-    if np.any(lo >= hi):
-        raise ValueError("lower bounds must stay below upper bounds")
-    return lo, hi
-
-
-def init_swarm(objective_fn, bounds, config: PsoConfig, dim: int,
-               rng: np.random.Generator, initial_positions=None) -> SwarmState:
-    """P particles uniform over the box (or at given seeds), evaluated once.
-
-    Initial velocities are uniform within one tenth of the box extent per
-    axis; the global best is the minimum of the initial evaluations.
-    """
-    lo, hi = _as_bounds(bounds, dim)
-    span = hi - lo
-    particles = []
-    for p in range(config.n_particles):
-        if initial_positions is not None:
-            x = np.clip(np.asarray(initial_positions[p], dtype=float), lo, hi)
-        else:
-            x = rng.uniform(lo, hi)
-        v = rng.uniform(-span / 10.0, span / 10.0)
-        value = float(objective_fn(x))
-        particles.append(Particle(x=x, v=v, best_x=x.copy(), best_value=value))
-    best = min(particles, key=lambda q: q.best_value)
-    state = SwarmState(
-        particles=particles, best_x=best.best_x.copy(), best_value=best.best_value
-    )
-    state.history.append(state.best_value)
-    return state
-
-
-def step_particle(particle: Particle, global_best_x: np.ndarray, bounds,
-                  config: PsoConfig, rng: np.random.Generator) -> Particle:
-    """One velocity/position update with per-coordinate acceleration draws."""
-    lo, hi = _as_bounds(bounds, len(particle.x))
-    phi1 = rng.uniform(0.0, config.c1, size=particle.x.shape)
-    phi2 = rng.uniform(0.0, config.c2, size=particle.x.shape)
-    particle.v = (
-        config.inertia * particle.v
-        + phi1 * (particle.best_x - particle.x)
-        + phi2 * (global_best_x - particle.x)
-    )
-    particle.x = np.clip(particle.x + particle.v, lo, hi)
-    return particle
-
-
 def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
             rng: np.random.Generator, initial_positions=None) -> PsoResult:
     """Minimize objective_fn over the box until the global best stalls.
 
-    Particles move and are re-evaluated each iteration; personal bests
-    update immediately, the global best as a reduction after the sweep.
+    The swarm is P particles held as rows of (P, dim) arrays, started
+    uniform over the box (or at the given positions, clipped to it) with
+    velocities uniform within one tenth of the box extent per axis.  Each
+    iteration moves every particle with per-coordinate acceleration draws
+    and re-evaluates it in particle order; personal bests update at once,
+    the global best (first minimum of the personal bests) after the sweep.
     Stops after stall_iterations without improvement beyond
     stall_tolerance, or at max_iterations.
     """
-    state = init_swarm(objective_fn, bounds, config, dim, rng, initial_positions)
-    particle_values = [[p.best_value for p in state.particles]]
-    best_x_history = [state.best_x.copy()]
-    stall = 0
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (dim,)) for b in bounds)
+    if np.any(lo >= hi):
+        raise ValueError("lower bounds must stay below upper bounds")
+    span = hi - lo
+    n = config.n_particles
+    # draws come particle by particle: position then velocity, and per step phi1 then phi2
+    if initial_positions is None:
+        x, v = rng.uniform(np.stack([lo, -span / 10.0]), np.stack([hi, span / 10.0]),
+                           size=(n, 2, dim)).swapaxes(0, 1)
+    else:
+        x = np.clip(np.asarray(initial_positions, dtype=float).reshape(n, dim), lo, hi)
+        v = rng.uniform(-span / 10.0, span / 10.0, size=(n, dim))
+    values = np.array([float(objective_fn(row)) for row in x])
+    best_x, best_values = x.copy(), values
+    g = int(np.argmin(best_values))
+    gbest_x, gbest_value = best_x[g].copy(), float(best_values[g])
+    history, best_x_history, particle_values = [gbest_value], [gbest_x.copy()], [values.tolist()]
+    accel = np.array([[config.c1], [config.c2]])
+    iteration = stall = 0
     converged = False
-    while state.iteration < config.max_iterations:
-        state.iteration += 1
-        values = []
-        for particle in state.particles:
-            step_particle(particle, state.best_x, bounds, config, rng)
-            value = float(objective_fn(particle.x))
-            values.append(value)
-            if value < particle.best_value:
-                particle.best_value = value
-                particle.best_x = particle.x.copy()
-        particle_values.append(values)
-        candidate = min(state.particles, key=lambda q: q.best_value)
-        improvement = state.best_value - candidate.best_value
-        if candidate.best_value < state.best_value:
-            state.best_value = candidate.best_value
-            state.best_x = candidate.best_x.copy()
-        state.history.append(state.best_value)
-        best_x_history.append(state.best_x.copy())
+    while iteration < config.max_iterations:
+        iteration += 1
+        phi1, phi2 = rng.uniform(0.0, accel, size=(n, 2, dim)).swapaxes(0, 1)
+        v = config.inertia * v + phi1 * (best_x - x) + phi2 * (gbest_x - x)
+        x = np.clip(x + v, lo, hi)
+        values = np.array([float(objective_fn(row)) for row in x])
+        particle_values.append(values.tolist())
+        improved = values < best_values
+        best_values[improved] = values[improved]
+        best_x[improved] = x[improved]
+        g = int(np.argmin(best_values))
+        improvement = gbest_value - best_values[g]
+        if best_values[g] < gbest_value:
+            gbest_x, gbest_value = best_x[g].copy(), float(best_values[g])
+        history.append(gbest_value)
+        best_x_history.append(gbest_x.copy())
         stall = stall + 1 if improvement <= config.stall_tolerance else 0
         if stall >= config.stall_iterations:
             converged = True
             break
     return PsoResult(
-        best_x=state.best_x,
-        best_value=state.best_value,
-        history=state.history,
+        best_x=gbest_x,
+        best_value=gbest_value,
+        history=history,
         best_x_history=best_x_history,
         particle_values=particle_values,
-        n_iterations=state.iteration,
+        n_iterations=iteration,
         converged=converged,
     )
 

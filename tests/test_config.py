@@ -4,12 +4,9 @@ import dataclasses
 
 import pytest
 
-from irlv.channel import ChannelParams
 from irlv.config import (
     ConfigError,
-    DataConfig,
     EvalConfig,
-    NnConfig,
     RunConfig,
     ScenarioConfig,
     Seeds,
@@ -18,7 +15,8 @@ from irlv.config import (
     default_config_path,
     load_config,
 )
-from irlv.planner import PsoConfig
+from irlv.mlp import TrainConfig
+from irlv.planner import PlacementEvalConfig, PsoConfig
 from irlv.scenario import CircularScenario, StreetScenario
 
 MINIMAL = """\
@@ -40,20 +38,21 @@ class TestLoadConfig:
     def test_minimal_config_gets_standard_defaults(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
         assert cfg.scenario.kind == "street"
-        assert cfg.channel.f0_hz == 2.12e9
-        assert cfg.channel.sigma_s_db == 8.0
-        assert cfg.channel.d_c_m == 75.0
-        assert cfg.nn.n_hidden == 8
-        assert cfg.nn.n_layers == 3
+        assert cfg.placement.channel.f0_hz == 2.12e9
+        assert cfg.placement.channel.sigma_s_db == 8.0
+        assert cfg.placement.channel.d_c_m == 75.0
+        assert cfg.placement.n_hidden == 8
+        assert cfg.placement.n_layers == 3
+        assert cfg.placement.train == TrainConfig(learning_rate=0.05, epochs=200, batch_size=128)
         assert cfg.pso.inertia == 0.7298
         assert cfg.pso.c1 == cfg.pso.c2 == 1.4961
-        assert cfg.data.s_total == 20_000
+        assert cfg.placement.s_total == 20_000
         assert cfg.seeds == Seeds(0, 1, 2, 3)
         # every absent key takes its dataclass default
         assert cfg == RunConfig(
-            scenario=ScenarioConfig(), channel=ChannelParams(), nn=NnConfig(),
-            data=DataConfig(), pso=PsoConfig(), objective=PsoConfig().objective,
-            eval=EvalConfig(), sweep=SweepConfig(), seeds=Seeds(0, 1, 2, 3),
+            scenario=ScenarioConfig(), placement=PlacementEvalConfig(), pso=PsoConfig(),
+            objective=PsoConfig().objective, eval=EvalConfig(), sweep=SweepConfig(),
+            seeds=Seeds(0, 1, 2, 3),
         )
 
     def test_shipped_config_loads(self):
@@ -65,9 +64,8 @@ class TestLoadConfig:
             SweepConfig(), n_hidden=(2, 4, 8, 16), s_total=(1_000, 10_000, 100_000)
         )
         assert cfg == RunConfig(
-            scenario=ScenarioConfig(), channel=ChannelParams(), nn=NnConfig(),
-            data=DataConfig(), pso=PsoConfig(), objective="both",
-            eval=EvalConfig(), sweep=sweep, seeds=Seeds(0, 1, 2, 3),
+            scenario=ScenarioConfig(), placement=PlacementEvalConfig(), pso=PsoConfig(),
+            objective="both", eval=EvalConfig(), sweep=sweep, seeds=Seeds(0, 1, 2, 3),
         )
 
     def test_missing_file(self, tmp_path):
@@ -85,7 +83,18 @@ class TestLoadConfig:
 
     def test_bad_number_named_by_key(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "[nn]\nepochs = many\n")
-        with pytest.raises(ConfigError, match=r"\[nn\] epochs"):
+        with pytest.raises(ConfigError, match=r"\[nn\] epochs: cannot read"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[nn]\nepoch = 5\n", r"\[nn\] epoch: unknown key"),
+        ("[bogus]\n", r"\[bogus\]: unknown section"),
+        ("[channel]\nc_m_s = 3e8\n", r"\[channel\] c_m_s: unknown key"),
+        ("[eval]\nn_np_samples = 9999\n", r"\[eval\] n_np_samples: need at least 10000"),
+    ], ids=["unknown-key", "unknown-section", "constant", "np-samples"])
+    def test_bad_input_named_by_key(self, tmp_path, text, match):
+        path = write_cfg(tmp_path, MINIMAL + text)
+        with pytest.raises(ConfigError, match=match):
             load_config(path)
 
     def test_unknown_scenario_kind(self, tmp_path):

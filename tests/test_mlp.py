@@ -1,4 +1,4 @@
-"""Network tests: forward algebra, loss, gradient oracle, training, thresholds."""
+"""Network tests: forward algebra, loss, gradient oracle, training, posteriors."""
 
 import math
 
@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from irlv.dataset import Dataset
+from irlv.evaluation import empirical_roc
 from irlv.mlp import (
     MLP,
     TrainConfig,
     TrainingDivergedError,
     backward,
     ce_loss,
-    decide,
     default_layer_sizes,
     forward,
     init_mlp,
-    lambda_to_theta,
-    load_mlp,
     posterior_from_llr,
-    save_mlp,
     train,
 )
 
@@ -43,7 +40,7 @@ class TestInit:
 
     def test_biases_zero_and_weights_bounded(self):
         mlp = init_mlp([5, 8, 8, 1], seed=0)
-        sizes = mlp.layer_sizes
+        sizes = [5, 8, 8, 1]
         for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             assert np.all(b == 0.0)
             s = math.sqrt(6.0 / (sizes[l] + sizes[l + 1]))
@@ -52,7 +49,6 @@ class TestInit:
     def test_shapes(self):
         mlp = init_mlp([5, 8, 8, 1], seed=0)
         assert [w.shape for w in mlp.weights] == [(8, 5), (8, 8), (1, 8)]
-        assert mlp.layer_sizes == [5, 8, 8, 1]
         assert mlp.n_layers == 3
 
     def test_invalid_sizes_rejected(self):
@@ -238,7 +234,7 @@ class TestTrain:
         ds = _separable_toy()
         mlp = init_mlp([2, 8, 1], seed=0)
         train(mlp, ds, TrainConfig(learning_rate=0.5, epochs=200, batch_size=64, seed=1))
-        acc = np.mean(decide(forward(mlp, ds.features), 0.5) == ds.labels)
+        acc = np.mean((forward(mlp, ds.features) > 0.5) == ds.labels)
         assert acc >= 0.99
 
     def test_zero_epochs_is_a_no_op(self):
@@ -281,54 +277,77 @@ class TestTrain:
 
 
 class TestDecide:
+    """The verifier's decision rule (1 where the score exceeds lambda, ties
+    decide 0), as empirical_roc applies it at every distinct score."""
+
     def test_strictly_above_threshold(self):
-        assert decide(0.7, 0.5) == 1
+        roc = empirical_roc(np.array([0.5, 0.7]), np.array([0, 1]))
+        assert roc.thresholds[0] == 0.5
+        assert (roc.p_fa[0], roc.p_md[0]) == (0.0, 0.0)
 
     def test_tie_goes_to_zero(self):
-        assert decide(0.5, 0.5) == 0
+        roc = empirical_roc(np.array([0.5, 0.5]), np.array([0, 1]))
+        assert roc.thresholds[0] == 0.5
+        assert (roc.p_fa[0], roc.p_md[0]) == (0.0, 1.0)
 
     def test_lambda_one_never_accepts(self):
         rng = np.random.default_rng(2)
         s = rng.uniform(0, 1, 100)
-        assert np.all(decide(s, 1.0) == 0)
+        t = np.arange(100) % 2
+        s[0] = 1.0  # a label-0 score at the top keeps the lambda = 1 point
+        roc = empirical_roc(s, t)
+        assert roc.thresholds[0] == 1.0
+        assert (roc.p_fa[0], roc.p_md[0]) == (0.0, 1.0)
 
     def test_monotone_in_lambda(self):
-        """Raising lambda never flips a decision from 0 to 1."""
+        """Raising lambda never flips a decision from 0 to 1: along the curve
+        p_fa grows as lambda falls."""
         rng = np.random.default_rng(3)
         s = rng.uniform(0, 1, 200)
-        lams = np.sort(rng.uniform(0, 1, 20))
-        prev = decide(s, lams[0])
-        for lam in lams[1:]:
-            cur = decide(s, lam)
-            assert np.all(cur <= prev)
-            prev = cur
+        roc = empirical_roc(s, (s + rng.normal(0, 0.3, 200) > 0.5).astype(np.int64))
+        assert np.all(np.diff(roc.thresholds) < 0)
 
     def test_lambda_range_checked(self):
-        with pytest.raises(ValueError):
-            decide(0.5, 1.5)
+        rng = np.random.default_rng(4)
+        s = rng.uniform(0, 1, 200)
+        roc = empirical_roc(s, np.arange(200) % 2)
+        assert roc.thresholds[-1] == 0.0
+        assert np.all((roc.thresholds >= 0.0) & (roc.thresholds <= 1.0))
 
 
 class TestThresholdConversions:
+    """A score threshold lambda on p(H1 | a) is the LLR threshold
+    log2((1 - lambda) / lambda * prior1 / prior0) bits: there the H1
+    posterior is exactly lambda."""
+
+    @staticmethod
+    def _h1(llr_bits, prior0=0.5, prior1=0.5):
+        return 1.0 - posterior_from_llr(llr_bits, prior0, prior1)
+
     def test_balanced_point(self):
-        assert lambda_to_theta(0.5, 0.5, 0.5) == 1.0
+        assert self._h1(0.0) == 0.5
 
     def test_quarter_lambda(self):
-        np.testing.assert_allclose(lambda_to_theta(0.25, 0.5, 0.5), 3.0, rtol=1e-12)
+        np.testing.assert_allclose(self._h1(math.log2(3.0)), 0.25, rtol=1e-12)
 
     def test_lambda_near_one_shrinks_theta(self):
-        assert lambda_to_theta(0.999, 0.5, 0.5) < 1e-2
+        # lambda = 0.999 sits below a likelihood ratio of 1e-2
+        assert self._h1(math.log2(1e-2)) < 0.999
+        np.testing.assert_allclose(self._h1(math.log2(1.0 / 999.0)), 0.999, rtol=1e-12)
 
     def test_prior_ratio_scales(self):
-        np.testing.assert_allclose(lambda_to_theta(0.5, 0.8, 0.2), 4.0, rtol=1e-12)
+        # priors 0.8 / 0.2 move the lambda = 0.5 threshold by log2(0.2 / 0.8) bits
+        np.testing.assert_allclose(self._h1(-2.0, 0.8, 0.2), 0.5, rtol=1e-12)
 
     def test_degenerate_lambda_rejected(self):
-        for lam in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                lambda_to_theta(lam, 0.5, 0.5)
+        """lambda = 0 and 1 have no finite threshold: only infinite evidence reaches them."""
+        h1 = self._h1(np.linspace(-40, 40, 161))
+        assert np.all((h1 > 0.0) & (h1 < 1.0))
+        assert self._h1(np.inf) == 0.0 and self._h1(-np.inf) == 1.0
 
     def test_bad_priors_rejected(self):
         with pytest.raises(ValueError):
-            lambda_to_theta(0.5, 0.7, 0.2)
+            posterior_from_llr(0.0, 0.7, 0.2)
         with pytest.raises(ValueError):
             posterior_from_llr(0.0, 0.0, 1.0)
 
@@ -354,27 +373,3 @@ class TestPosteriorFromLlr:
         np.testing.assert_allclose(
             posterior_from_llr(math.log2(3.0), 0.25, 0.75), 0.5, rtol=1e-12
         )
-
-
-class TestModelIo:
-    def test_round_trip_bit_exact(self, tmp_path):
-        mlp = init_mlp([5, 8, 8, 1], seed=11)
-        ds = _separable_toy(n=64)
-        # make the parameters non-trivial
-        mlp2 = init_mlp([2, 8, 8, 1], seed=11)
-        train(mlp2, ds, TrainConfig(epochs=3, batch_size=16))
-        for model in (mlp, mlp2):
-            path = tmp_path / "model.txt"
-            save_mlp(model, path)
-            back = load_mlp(path)
-            assert back.layer_sizes == model.layer_sizes
-            for wa, wb in zip(model.weights, back.weights):
-                np.testing.assert_array_equal(wa, wb)
-            for ba, bb in zip(model.biases, back.biases):
-                np.testing.assert_array_equal(ba, bb)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("weights\n1 2\n")
-        with pytest.raises(ValueError, match="not a model file"):
-            load_mlp(path)

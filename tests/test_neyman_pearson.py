@@ -12,7 +12,6 @@ from irlv.neyman_pearson import (
     SectorGeometry,
     alpha,
     llr,
-    np_decide,
     np_roc,
     pdf_r,
     radius_from_attenuation,
@@ -202,23 +201,24 @@ class TestLlr:
 
 
 class TestNpDecide:
+    """The NP decision as np_roc counts it: inside (0) iff llr >= log2(theta)."""
+
     def test_sentinels(self):
         inside_evidence = path_loss_los_db(10.0, PARAMS)   # alpha > 0
         outside_evidence = path_loss_los_db(2.0, PARAMS)   # alpha = 0
-        assert np_decide(outside_evidence, 1.0, GEO, PARAMS) == 1
+        # at theta = 1 the sign of the llr decides
+        assert llr(outside_evidence, GEO, PARAMS) == -LLR_SENTINEL_BITS
         assert llr(inside_evidence, GEO, PARAMS) > 0
-        assert np_decide(inside_evidence, 1.0, GEO, PARAMS) == 0
 
     def test_threshold_validated(self):
-        a = path_loss_los_db(10.0, PARAMS)
-        for theta in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                np_decide(a, theta, GEO, PARAMS)
+        for theta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="thetas"):
+                np_roc(GEO, PARAMS, 10_000, [theta], np.random.default_rng(0))
 
     def test_tie_accepts(self):
         a = path_loss_los_db(20.0, PARAMS)
         theta = 2.0 ** llr(a, GEO, PARAMS)
-        assert np_decide(a, theta, GEO, PARAMS) == 0
+        assert llr(a, GEO, PARAMS) >= math.log2(theta)
 
 
 class TestNpRoc:

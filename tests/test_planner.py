@@ -12,15 +12,12 @@ from irlv.mlp import TrainConfig
 from irlv.planner import (
     OBJECTIVE_AUC,
     OBJECTIVE_CE,
-    Particle,
     PlacementEvalConfig,
     PsoConfig,
     evaluate_placement,
-    init_swarm,
     plan_placement,
     plan_two_stage,
     run_pso,
-    step_particle,
 )
 from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, Position
 
@@ -51,49 +48,59 @@ class TestPsoConfig:
         PsoConfig(inertia=0.0, c1=0.0, c2=0.0)  # frozen swarm is legal
 
 
+def _spy_run(cfg, dim, seed, initial_positions=None):
+    """run_pso on the sphere, returning the result and every evaluated x."""
+    seen = []
+
+    def spy(x):
+        seen.append(np.array(x))
+        return _sphere(x)
+
+    result = run_pso(spy, BOUNDS, dim, cfg, np.random.default_rng(seed), initial_positions)
+    return result, np.array(seen)
+
+
 class TestInitSwarm:
     def test_dimensions_and_bounds(self):
-        rng = np.random.default_rng(0)
-        state = init_swarm(_sphere, BOUNDS, PsoConfig(n_particles=6), dim=10, rng=rng)
-        assert len(state.particles) == 6
-        for p in state.particles:
-            assert p.x.shape == (10,)
-            assert np.all((p.x >= 0.0) & (p.x <= 10.0))
-            assert np.all(np.abs(p.v) <= 1.0)  # one tenth of the extent
+        # pure inertia: the first step moves each particle by its initial velocity
+        cfg = PsoConfig(n_particles=6, inertia=1.0, c1=0.0, c2=0.0, max_iterations=1)
+        _, seen = _spy_run(cfg, dim=10, seed=0)
+        assert seen.shape == (12, 10)
+        assert np.all((seen >= 0.0) & (seen <= 10.0))
+        assert np.all(np.abs(seen[6:] - seen[:6]) <= 1.0)  # one tenth of the extent
 
     def test_global_best_is_min_of_initials(self):
-        rng = np.random.default_rng(1)
-        state = init_swarm(_sphere, BOUNDS, PsoConfig(n_particles=5), dim=3, rng=rng)
-        assert state.best_value == min(p.best_value for p in state.particles)
-        assert state.history == [state.best_value]
+        cfg = PsoConfig(n_particles=5, max_iterations=0)
+        result = run_pso(_sphere, BOUNDS, 3, cfg, np.random.default_rng(1))
+        assert result.best_value == min(result.particle_values[0])
+        assert result.history == [result.best_value]
 
 
 class TestStepParticle:
+    """One particle started at a given position: its only random draw
+    before the first step is its initial velocity, which a probe
+    generator with the same seed reproduces."""
+
     def test_pure_inertia(self):
-        p = Particle(
-            x=np.array([2.0, 2.0]), v=np.array([0.5, -0.25]),
-            best_x=np.array([9.0, 9.0]), best_value=1.0,
-        )
-        cfg = PsoConfig(inertia=1.0, c1=0.0, c2=0.0)
-        step_particle(p, np.array([0.0, 0.0]), BOUNDS, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(p.v, [0.5, -0.25])
-        np.testing.assert_array_equal(p.x, [2.5, 1.75])
+        cfg = PsoConfig(n_particles=1, inertia=1.0, c1=0.0, c2=0.0, max_iterations=2)
+        v = np.random.default_rng(0).uniform(-1.0, 1.0, 2)
+        _, seen = _spy_run(cfg, 2, 0, [[2.0, 2.0]])
+        np.testing.assert_array_equal(seen[1], [2.0, 2.0] + v)
+        np.testing.assert_array_equal(seen[2], seen[1] + v)
 
     def test_no_attraction_at_consensus(self):
-        x = np.array([4.0, 5.0])
-        p = Particle(x=x.copy(), v=np.array([1.0, -1.0]), best_x=x.copy(), best_value=0.0)
-        cfg = PsoConfig(inertia=0.5)
-        step_particle(p, x.copy(), BOUNDS, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(p.v, [0.5, -0.5])
+        # personal and global best are the start, so only inertia acts
+        cfg = PsoConfig(n_particles=1, inertia=0.5, max_iterations=1)
+        v = np.random.default_rng(0).uniform(-1.0, 1.0, 2)
+        _, seen = _spy_run(cfg, 2, 0, [[4.0, 5.0]])
+        np.testing.assert_array_equal(seen[1], [4.0, 5.0] + 0.5 * v)
 
     def test_clamped_to_bounds(self):
-        p = Particle(
-            x=np.array([9.9, 0.1]), v=np.array([5.0, -5.0]),
-            best_x=np.array([9.9, 0.1]), best_value=0.0,
-        )
-        cfg = PsoConfig(inertia=1.0, c1=0.0, c2=0.0)
-        step_particle(p, p.x.copy(), BOUNDS, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(p.x, [10.0, 0.0])
+        cfg = PsoConfig(n_particles=1, inertia=1.0, c1=0.0, c2=0.0, max_iterations=1)
+        v = np.random.default_rng(0).uniform(-1.0, 1.0, 2)
+        assert v[0] > 0.0 > v[1]  # pushes out of the corner on both axes
+        _, seen = _spy_run(cfg, 2, 0, [[10.0, 0.0]])
+        np.testing.assert_array_equal(seen[1], [10.0, 0.0])
 
 
 class TestRunPso:
@@ -154,6 +161,33 @@ class TestRunPso:
         np.testing.assert_array_equal(result.best_x_history[-1], result.best_x)
         for x, value in zip(result.best_x_history, result.history):
             assert _sphere(x) == value
+
+    def test_pinned_sphere_runs(self):
+        """The swarm's random-number order and update rule, pinned by the
+        exact results of two short runs, free and from given starts (the
+        third start lies outside the box and is clipped to (10, 0))."""
+        cfg = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
+        free = run_pso(_sphere, BOUNDS, 2, cfg, np.random.default_rng(11))
+        assert free.best_x.tolist() == [1.6208709978993263, 3.436410389384329]
+        assert free.history == [
+            6.909984183729472, 4.155470474575118, 2.770357020491285, 2.0924508323977817]
+        assert free.particle_values == [
+            [6.909984183729472, 41.77755651208571, 52.393883065921294],
+            [4.155470474575118, 10.604981082689697, 5.763834924231956],
+            [2.770357020491285, 7.235936938318122, 11.197780023023842],
+            [2.0924508323977817, 8.806127098409334, 12.01645178113241],
+        ]
+        starts = [[1.0, 9.0], [5.0, 5.0], [12.0, -1.0]]
+        seeded = run_pso(_sphere, BOUNDS, 2, cfg, np.random.default_rng(11), starts)
+        assert seeded.best_x.tolist() == [4.286209737215424, 3.8238393485485536]
+        assert seeded.history == [
+            8.0, 4.2907061889134255, 4.2907061889134255, 2.3330467603246756]
+        assert seeded.particle_values == [
+            [40.0, 8.0, 58.0],
+            [15.002230127573778, 6.33607497777983, 4.2907061889134255],
+            [20.196323011505285, 4.486656143354035, 28.766160190236437],
+            [18.48113958358711, 2.3330467603246756, 25.534550457589717],
+        ]
 
     def test_stall_counts_limit_iterations(self):
         cfg = PsoConfig(n_particles=2, inertia=0.0, c1=0.0, c2=0.0, stall_iterations=3)
