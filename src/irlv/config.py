@@ -124,6 +124,15 @@ def _get(parser, section: str, key: str, kind):
     return _parse(parser.get(section, key), section, key, kind)
 
 
+def _build(cls, section: str, keys: dict):
+    """cls(**keys), its own validation errors named by section (the keys
+    were read beforehand, so read errors are not named twice)."""
+    try:
+        return cls(**keys)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _read(parser, section: str, cls) -> dict:
     """The keys the file sets among those SECTIONS lists for cls in the
     section, each parsed as the type of its field default."""
@@ -162,14 +171,8 @@ def load_config(path) -> RunConfig:
     if scenario.kind not in (SCENARIO_STREET, SCENARIO_CIRCULAR):
         raise ConfigError(f"[scenario] kind: unknown scenario {scenario.kind!r}")
 
-    try:
-        channel = ChannelParams(**_read(parser, "channel", ChannelParams))
-    except ValueError as exc:
-        raise ConfigError(f"[channel] {exc}") from None
-    try:
-        train = TrainConfig(**_read(parser, "nn", TrainConfig))
-    except ValueError as exc:
-        raise ConfigError(f"[nn] {exc}") from None
+    channel = _build(ChannelParams, "channel", _read(parser, "channel", ChannelParams))
+    train = _build(TrainConfig, "nn", _read(parser, "nn", TrainConfig))
     placement = PlacementEvalConfig(
         channel=channel, train=train,
         **_read(parser, "nn", PlacementEvalConfig),
@@ -187,10 +190,7 @@ def load_config(path) -> RunConfig:
     objective = pso_keys.pop("objective", PsoConfig.objective)
     if objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
         raise ConfigError(f"[pso] objective: unknown objective {objective!r}")
-    try:
-        pso = PsoConfig(**pso_keys)
-    except ValueError as exc:
-        raise ConfigError(f"[pso] {exc}") from None
+    pso = _build(PsoConfig, "pso", pso_keys)
 
     eval_cfg = EvalConfig(**_read(parser, "eval", EvalConfig))
     if eval_cfg.n_np_samples < MIN_NP_ROC_SAMPLES:

@@ -4,6 +4,11 @@ A dataset row associates an attenuation vector (one dB value per base
 station) with the binary region label of the position it was measured at:
 0 inside the region of interest, 1 outside.  Positions are kept alongside
 for diagnostics only; verifiers never see them.
+
+A row may also hold one attenuation vector per base-station placement,
+features (n, P, n_bs) with the row axis first, so that P placements share
+the positions and labels.  Splitting and standardization act on the row
+axis and so handle both shapes alike; the statistics are per placement.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ class NormalizationStats:
     std: np.ndarray
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.std
+        out = features - self.mean
+        out /= self.std
+        return out
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n, n_bs) with labels (n,) and source positions (n, 2).
+    """Feature matrix (n, n_bs), or (n, P, n_bs) for P placements, with
+    labels (n,) and source positions (n, 2).
 
     stats is None for raw dB features and carries the training-set
     standardization once normalize() has been applied.
@@ -41,8 +49,8 @@ class Dataset:
     stats: NormalizationStats | None = None
 
     def __post_init__(self):
-        if self.features.ndim != 2 or len(self.features) == 0:
-            raise ValueError("dataset must hold a nonempty (n, n_bs) feature matrix")
+        if self.features.ndim not in (2, 3) or len(self.features) == 0:
+            raise ValueError("dataset must hold nonempty (n, n_bs) or (n, P, n_bs) features")
         if len(self.labels) != len(self.features) or len(self.positions) != len(self.features):
             raise ValueError("features, labels, and positions must align")
 
@@ -55,12 +63,15 @@ class Dataset:
 
 
 def generate_dataset(scenario, fields, params, s_total: int, p0: float,
-                     rng: np.random.Generator) -> Dataset:
+                     rng: np.random.Generator, placements=None) -> Dataset:
     """Synthesize s_total labeled attenuation vectors.
 
     floor(p0 * s_total) positions are drawn uniformly inside the ROI
     (label 0) and the remainder uniformly outside it (label 1); row order
-    is then shuffled.
+    is then shuffled.  The draws depend on the map and the ROI alone, so
+    placements, a (P, n_bs, 2) array of base-station positions, gets one
+    attenuation matrix per placement over the same rows: features
+    (s_total, P, n_bs).
     """
     if s_total < 2:
         raise ValueError("need at least two samples")
@@ -80,7 +91,12 @@ def generate_dataset(scenario, fields, params, s_total: int, p0: float,
     t = np.concatenate(labels)
     order = rng.permutation(s_total)
     xy, t = xy[order], t[order]
-    a = attenuation_matrix(scenario, fields, params, xy)
+    if placements is None:
+        a = attenuation_matrix(scenario, fields, params, xy)
+    else:
+        a = np.empty((s_total, len(placements), scenario.n_bs))
+        for k, p in enumerate(placements):
+            a[:, k] = attenuation_matrix(scenario.with_bs_positions(p), fields, params, xy)
     return Dataset(features=a, labels=t, positions=xy)
 
 
@@ -110,9 +126,11 @@ def normalize(dataset: Dataset, stats: NormalizationStats | None = None) -> Data
     if stats is None:
         mean = dataset.features.mean(axis=0)
         std = dataset.features.std(axis=0)
-        zero = np.flatnonzero(std == 0.0)
+        zero = np.argwhere(std == 0.0)
         if zero.size:
-            raise ValueError(f"feature {int(zero[0])} has zero variance")
+            *placement, feature = zero[0].tolist()
+            where = f" of placement {placement[0]}" if placement else ""
+            raise ValueError(f"feature {feature}{where} has zero variance")
         stats = NormalizationStats(mean=mean, std=std)
     return Dataset(
         features=stats.apply(dataset.features),

@@ -9,6 +9,15 @@ cross-entropy in bits,
     B = -(1/S) * sum_i [ t_i*log2(t~_i) + (1 - t_i)*log2(1 - t~_i) ],
 
 so all gradients carry a 1/ln2 factor.
+
+An MLP may also be a stack of P networks of the same shape, one per
+feature set over the same rows: weights (P, n_out, n_in), features
+(n, P, n_in) with the row axis first.  forward, backward and train take
+either.  A stack's products are batched matmuls over the leading P axis,
+which numpy runs as one 2-D BLAS product per network with the shapes of
+the single network's products, so each network of a stack ends
+bit-identical to training it alone; a single network is the unstacked
+case of the same code.
 """
 
 from __future__ import annotations
@@ -24,12 +33,14 @@ SCORE_EPS = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    pass
+    """Parameters or the loss stopped being finite; train names the
+    diverged networks of a stack and the epoch in the message."""
 
 
 @dataclass
 class MLP:
-    """Weights W[l] of shape (n_out, n_in) and biases b[l] of shape (n_out,)."""
+    """Weights W[l] of shape (n_out, n_in) and biases b[l] of shape (n_out,),
+    or (P, n_out, n_in) and (P, n_out) for a stack of P networks."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -38,9 +49,11 @@ class MLP:
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("need one bias vector per weight matrix")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
+            if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {l}: bias shape does not match weight rows")
-            if l and w.shape[1] != self.weights[l - 1].shape[0]:
+            if w.shape[:-2] != self.stack_shape:
+                raise ValueError(f"layer {l}: stack size differs from layer 0")
+            if l and w.shape[-1] != self.weights[l - 1].shape[-2]:
                 raise ValueError(f"layer {l}: input width does not match previous layer")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l}: non-finite parameters")
@@ -51,7 +64,20 @@ class MLP:
 
     @property
     def n_inputs(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for a single network, (P,) for a stack of P."""
+        return self.weights[0].shape[:-2]
+
+    def unstack(self) -> list[MLP]:
+        """The networks of a stack as single networks on views of its
+        arrays; [self] for a single network."""
+        if not self.stack_shape:
+            return [self]
+        return [MLP([w[p] for w in self.weights], [b[p] for b in self.biases])
+                for p in range(self.stack_shape[0])]
 
 
 def default_layer_sizes(n_inputs: int, n_hidden: int = 8, n_layers: int = 3) -> list[int]:
@@ -61,38 +87,60 @@ def default_layer_sizes(n_inputs: int, n_hidden: int = 8, n_layers: int = 3) -> 
     return [n_inputs] + [n_hidden] * (n_layers - 1) + [1]
 
 
-def init_mlp(layer_sizes, seed: int) -> MLP:
-    """Uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases."""
+def init_mlp(layer_sizes, seed: int, copies: int | None = None) -> MLP:
+    """Uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases.
+
+    copies=P returns a stack of P networks that all start from this draw.
+    """
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ValueError(f"invalid layer sizes: {sizes}")
     if sizes[-1] != 1:
         raise ValueError("the output layer must hold a single neuron")
+    if copies is not None and copies < 1:
+        raise ValueError("a stack needs at least one network")
+    stack = () if copies is None else (copies,)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         s = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(np.tile(rng.uniform(-s, s, size=(fan_out, fan_in)), stack + (1, 1)))
+        biases.append(np.zeros(stack + (fan_out,)))
     return MLP(weights, biases)
 
 
+def _check_batch(mlp: MLP, x: np.ndarray) -> None:
+    """Features must be (n, n_inputs), or (n, P, n_inputs) for a stack of P."""
+    expected = mlp.stack_shape + (mlp.n_inputs,)
+    if x.shape[1:] != expected:
+        raise ValueError(f"expected features of shape (n, {', '.join(map(str, expected))}), "
+                         f"got {x.shape}")
+
+
 def _forward_all(mlp: MLP, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer for a (n, n_inputs) batch, input included."""
+    """Activations per layer, input included, for a (n, n_inputs) batch or
+    a stack's network-major (P, n, n_inputs) batch."""
     ys = [x]
     for w, b in zip(mlp.weights, mlp.biases):
-        ys.append(expit(ys[-1] @ w.T + b))
+        z = ys[-1] @ w.mT
+        z += b[..., None, :]
+        ys.append(expit(z, out=z))
     return ys
 
 
 def forward(mlp: MLP, a):
-    """Score t~ in (0, 1); float for a single vector, (n,) array for a batch."""
+    """Score t~ in (0, 1); float for a single vector, (n,) array for a batch.
+
+    A stack scores (n, P, n_inputs) rows as (n, P), one network at a time,
+    so that scoring a large set holds one network's activations at once.
+    """
     x = np.asarray(a, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != mlp.n_inputs:
-        raise ValueError(f"expected {mlp.n_inputs} features, got {x.shape[1]}")
+    _check_batch(mlp, x)
+    if mlp.stack_shape:
+        return np.stack([forward(net, x[:, p]) for p, net in enumerate(mlp.unstack())], axis=1)
     out = _forward_all(mlp, x)[-1][:, 0]
     return float(out[0]) if single else out
 
@@ -107,20 +155,22 @@ def ce_loss(scores, labels) -> float:
 
 
 def backward(mlp: MLP, features: np.ndarray, labels) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Analytic gradient of the batch cross-entropy w.r.t. every parameter."""
-    x = np.asarray(features, dtype=float)
+    """Analytic gradient of the batch cross-entropy w.r.t. every parameter,
+    shaped like the parameters; a stack's networks share the labels."""
     t = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or len(x) == 0 or len(t) != len(x):
+    x = np.asarray(features, dtype=float)
+    if x.ndim < 2 or len(x) == 0 or len(t) != len(x):
         raise ValueError("need a nonempty aligned batch")
+    _check_batch(mlp, x)
     n = len(x)
-    ys = _forward_all(mlp, x)
+    ys = _forward_all(mlp, x.swapaxes(0, -2))  # network-major view of a stack's batch
     # output layer: d(loss)/d(pre-activation) of the single sigmoid output
     delta = (ys[-1] - t[:, None]) / (n * LN2)
     grads_w = [np.empty(0)] * mlp.n_layers
     grads_b = [np.empty(0)] * mlp.n_layers
     for l in range(mlp.n_layers - 1, -1, -1):
-        grads_w[l] = delta.T @ ys[l]
-        grads_b[l] = delta.sum(axis=0)
+        grads_w[l] = delta.mT @ ys[l]
+        grads_b[l] = delta.sum(axis=-2)
         if l:
             y = ys[l]
             delta = (delta @ mlp.weights[l]) * y * (1.0 - y)
@@ -143,12 +193,24 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
 
 
-def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float]:
+def _raise_if_diverged(finite: np.ndarray, epoch: int) -> None:
+    """TrainingDivergedError naming the networks whose flag is False."""
+    if np.all(finite):
+        return
+    where = (f"networks {np.flatnonzero(~finite).tolist()} of {finite.size}" if finite.ndim
+             else "the network")
+    raise TrainingDivergedError(f"training diverged: {where} not finite after epoch {epoch}")
+
+
+def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float | np.ndarray]:
     """Mini-batch gradient descent on a normalized dataset, in place.
 
-    Returns the trained network and its final full-set cross-entropy in
-    bits.  Raises TrainingDivergedError when parameters or the loss stop
-    being finite.
+    A stack trains in lockstep on (n, P, n_inputs) features: every network
+    sees the same labels and the same mini-batch order.  Returns the
+    trained network and its final full-set cross-entropy in bits, a float
+    or a (P,) array for a stack.  Raises TrainingDivergedError, naming
+    the networks and the epoch, when parameters or the loss stop being
+    finite.
     """
     x = np.asarray(train_set.features, dtype=float)
     t = np.asarray(train_set.labels, dtype=float)
@@ -156,7 +218,7 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float]:
     if config.batch_size > n:
         raise ValueError("batch_size exceeds the training set size")
     rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -164,12 +226,12 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float]:
             for w, b, gw, gb in zip(mlp.weights, mlp.biases, grads_w, grads_b):
                 w -= config.learning_rate * gw
                 b -= config.learning_rate * gb
-        if not all(np.all(np.isfinite(w)) for w in mlp.weights):
-            raise TrainingDivergedError("training diverged")
-    final_ce = ce_loss(forward(mlp, x), t)
-    if not math.isfinite(final_ce):
-        raise TrainingDivergedError("training diverged")
-    return mlp, final_ce
+        _raise_if_diverged(np.logical_and.reduce(
+            [np.isfinite(w).all(axis=(-2, -1)) for w in mlp.weights]), epoch)
+    scores = forward(mlp, x).reshape(n, -1)
+    final_ce = np.array([ce_loss(s, t) for s in scores.T]).reshape(mlp.stack_shape)
+    _raise_if_diverged(np.isfinite(final_ce), config.epochs)
+    return mlp, float(final_ce) if final_ce.ndim == 0 else final_ce
 
 
 def posterior_from_llr(llr_bits, prior0: float, prior1: float):

@@ -1,14 +1,20 @@
 """Swarm search (PSO) for base-station placements.
 
-The swarm core is generic: it minimizes any vector objective over a box.
-On top of it, evaluate_placement is the one generate/train/score pipeline:
-it synthesizes data for a placement, trains a verifier network, and reports
-its final training cross-entropy (cheap proxy) and its test ROC and AUC.
-The roc and np-compare commands call it too.
+The swarm core is generic: it minimizes any vector objective over a box,
+scoring each sweep of the swarm with one call.  On top of it,
+evaluate_placement is the one generate/train/score pipeline: it
+synthesizes data for a set of placements, trains one verifier network per
+placement, and reports each network's final training cross-entropy (cheap
+proxy) and its test ROC and AUC.  The roc and np-compare commands call it
+with the scenario's own placement.
 
 Seeds for fields, data, and network init stay constant for the whole run,
 so every particle in every iteration faces the same noise realization and
-objective differences reflect placement alone.
+objective differences reflect placement alone.  The positions, labels,
+initial weights and mini-batch order are therefore shared by every
+placement: evaluate_placement draws the rows once and trains the networks
+of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
+training it alone.
 """
 
 from __future__ import annotations
@@ -69,8 +75,9 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
     uniform over the box (or at the given positions, clipped to it) with
     velocities uniform within one tenth of the box extent per axis.  Each
     iteration moves every particle with per-coordinate acceleration draws
-    and re-evaluates it in particle order; personal bests update at once,
-    the global best (first minimum of the personal bests) after the sweep.
+    and scores the whole sweep with one objective_fn call, which maps the
+    (P, dim) positions to (P,) values; personal bests update at once, the
+    global best (first minimum of the personal bests) after the sweep.
     Stops after stall_iterations without improvement beyond
     stall_tolerance, or at max_iterations.
     """
@@ -86,7 +93,14 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
     else:
         x = np.clip(np.asarray(initial_positions, dtype=float).reshape(n, dim), lo, hi)
         v = rng.uniform(-span / 10.0, span / 10.0, size=(n, dim))
-    values = np.array([float(objective_fn(row)) for row in x])
+
+    def score(x):
+        values = np.array(objective_fn(x), dtype=float)
+        if values.shape != (n,):
+            raise ValueError(f"objective_fn returned shape {values.shape} for {n} particles")
+        return values
+
+    values = score(x)
     best_x, best_values = x.copy(), values
     g = int(np.argmin(best_values))
     gbest_x, gbest_value = best_x[g].copy(), float(best_values[g])
@@ -99,7 +113,7 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
         phi1, phi2 = rng.uniform(0.0, accel, size=(n, 2, dim)).swapaxes(0, 1)
         v = config.inertia * v + phi1 * (best_x - x) + phi2 * (gbest_x - x)
         x = np.clip(x + v, lo, hi)
-        values = np.array([float(objective_fn(row)) for row in x])
+        values = score(x)
         particle_values.append(values.tolist())
         improved = values < best_values
         best_values[improved] = values[improved]
@@ -149,27 +163,35 @@ class PlacementScore:
     roc: RocCurve
 
 
-def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig) -> PlacementScore:
-    """Train a verifier net on the scenario's base-station placement and
-    score it: final training CE in bits, test ROC and its AUC.
+def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
+                       placements=None) -> list[PlacementScore]:
+    """Train a verifier net per base-station placement and score each:
+    final training CE in bits, test ROC and its AUC.
 
-    fields holds one shadowing map per base station (None for none); they
-    depend only on the map bounds, the base-station count and the field
-    seed, so callers draw them once for every placement.  Deterministic
-    given the seeds in cfg.
+    placements is a (P, n_bs, 2) array of positions on the scenario's map;
+    None scores the scenario's own placement with a single network.  The
+    rows are drawn once for all placements, each placement gets its own
+    attenuation features and standardization, and the P networks train as
+    one stack.  fields holds one shadowing map per base station (None for
+    none); they depend only on the map bounds, the base-station count and
+    the field seed, so callers draw them once for every placement.
+    Deterministic given the seeds in cfg, and a placement's score does not
+    depend on the others.
     """
-    ds = generate_dataset(
+    train_set, test_set = split(generate_dataset(
         scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
-        np.random.default_rng(cfg.dataset_seed),
-    )
-    train_set, test_set = split(ds, cfg.train_frac)
+        np.random.default_rng(cfg.dataset_seed), placements,
+    ), cfg.train_frac)
     train_n = normalize(train_set)
     test_n = normalize(test_set, train_n.stats)
+    del train_set, test_set  # free the raw features before training: P times a network's
     sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
-    mlp = init_mlp(sizes, cfg.init_seed)
+    mlp = init_mlp(sizes, cfg.init_seed, None if placements is None else len(placements))
     mlp, ce = train(mlp, train_n, cfg.train)
-    roc = empirical_roc(forward(mlp, test_n.features), test_n.labels)
-    return PlacementScore(ce_bits=ce, auc_value=auc(roc), roc=roc)
+    scores = forward(mlp, test_n.features).reshape(len(test_n), -1)
+    rocs = [empirical_roc(s, test_n.labels) for s in scores.T]
+    return [PlacementScore(ce_bits=float(c), auc_value=auc(roc), roc=roc)
+            for c, roc in zip(np.atleast_1d(ce), rocs)]
 
 
 def plan_placement(scenario, cfg: PlacementEvalConfig, pso: PsoConfig,
@@ -179,19 +201,21 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, pso: PsoConfig,
 
     The objective is pso.objective: training CE or test AUC.  The fields
     are drawn once for the run and each distinct placement is evaluated
-    once.  Returns the swarm result and the test AUC of the best placement
-    at every iteration.
+    once: a sweep's not yet seen placements go to evaluate_placement in one
+    call, as one stack.  Returns the swarm result and the test AUC of the
+    best placement at every iteration.
     """
     fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
     cache: dict[bytes, PlacementScore] = {}
 
-    def objective_fn(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in cache:
-            candidate = scenario.with_bs_positions(np.reshape(x, (-1, 2)))
-            cache[key] = evaluate_placement(candidate, fields, cfg)
-        score = cache[key]
-        return score.ce_bits if pso.objective == OBJECTIVE_CE else score.auc_value
+    def objective_fn(xs):
+        keys = [row.tobytes() for row in xs]
+        new = {key: row for key, row in zip(keys, xs) if key not in cache}
+        if new:
+            placements = np.reshape(list(new.values()), (len(new), -1, 2))
+            cache.update(zip(new, evaluate_placement(scenario, fields, cfg, placements)))
+        scores = [cache[key] for key in keys]
+        return [s.ce_bits if pso.objective == OBJECTIVE_CE else s.auc_value for s in scores]
 
     dim = 2 * scenario.n_bs
     xmin, ymin, xmax, ymax = scenario.bounds

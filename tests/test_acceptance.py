@@ -239,7 +239,7 @@ class TestSwarmSearch:
         assert all(b <= a for a, b in zip(first.history, first.history[1:]))
 
         def sphere(x):
-            return float(np.sum((x - 3.0) ** 2))
+            return np.sum((x - 3.0) ** 2, axis=-1)
 
         for seed in range(20):
             res = run_pso(sphere, (0.0, 10.0), 4, PsoConfig(max_iterations=30),

@@ -229,9 +229,15 @@ class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
         assert run(["roc", "--config", tmp_path / "absent.cfg", "--out", tmp_path]) == 2
 
-    def test_bad_key_is_config_error(self, tmp_path):
-        cfg = write_cfg(tmp_path, CIRCULAR + "\n[nn]\nepochs = soon\n")
+    def test_bad_key_is_config_error(self, tmp_path, capsys):
+        # the bad value goes into the existing [nn] section: a second [nn]
+        # header would fail as a malformed file before any key is read
+        text = CIRCULAR.replace("epochs = 15", "epochs = soon")
+        assert text.count("[nn]") == 1 and "epochs = soon" in text
+        cfg = write_cfg(tmp_path, text)
         assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [nn] epochs: cannot read 'soon' as int\n"
 
     def test_divergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         from irlv.mlp import TrainingDivergedError

@@ -276,6 +276,60 @@ class TestTrain:
             TrainConfig(batch_size=0)
 
 
+class TestStackedTrain:
+    """P networks train in lockstep on (n, P, d) features with shared
+    labels, initial weights and mini-batch order."""
+
+    @pytest.mark.parametrize("n", [256, 301], ids=["whole-batches", "short-last-batch"])
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_matches_sequential_training(self, p, n):
+        """Each network of the stack ends bit-identical to training it
+        alone: weights, biases, final CE and scores."""
+        rng = np.random.default_rng(10 * p + n)
+        t = rng.integers(0, 2, n)
+        x = rng.normal(size=(n, p, 5)) + rng.normal(size=(1, p, 5)) * t[:, None, None]
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=32, seed=7)
+        stack, ce = train(init_mlp([5, 8, 8, 1], seed=3, copies=p), _as_dataset(x, t), cfg)
+        assert ce.shape == (p,)
+        scores = forward(stack, x)
+        assert scores.shape == (n, p)
+        for k in range(p):
+            alone, ce_k = train(init_mlp([5, 8, 8, 1], seed=3), _as_dataset(x[:, k], t), cfg)
+            for stacked, single in zip(stack.weights + stack.biases, alone.weights + alone.biases):
+                assert np.array_equal(stacked[k], single)
+            assert ce[k] == ce_k
+            assert np.array_equal(scores[:, k], forward(alone, x[:, k]))
+
+    def test_divergence_names_networks_and_epoch(self):
+        """A huge learning rate overflows the weight of the network whose
+        constant input is large: labels alternate, so whatever the weight's
+        sign half the rows are misclassified, the gradient is about 700 and
+        one step of 1e308 times it is infinite.  The networks on small
+        inputs stay finite, and the error names the diverged network and
+        the epoch."""
+        t = np.arange(64) % 2
+        x = np.ones((64, 3, 1)) * np.array([1e-3, 1e3, 1e-3])[None, :, None]
+        cfg = TrainConfig(learning_rate=1e308, epochs=3, batch_size=16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError,
+                               match=r"^training diverged: networks \[1\] of 3 not finite after epoch 1$"):
+                train(init_mlp([1, 1], seed=0, copies=3), _as_dataset(x, t), cfg)
+            with pytest.raises(TrainingDivergedError,
+                               match=r"^training diverged: the network not finite after epoch 1$"):
+                train(init_mlp([1, 1], seed=0), _as_dataset(x[:, 1], t), cfg)
+            _, ce = train(init_mlp([1, 1], seed=0, copies=2), _as_dataset(x[:, ::2], t), cfg)
+        assert np.all(np.isfinite(ce))
+
+    def test_mismatched_stack_rejected(self):
+        mlp = init_mlp([2, 4, 1], seed=0, copies=3)
+        with pytest.raises(ValueError, match="shape"):
+            forward(mlp, np.zeros((10, 2, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            backward(mlp, np.zeros((10, 2)), np.zeros(10))
+        with pytest.raises(ValueError, match="stack size"):
+            MLP([np.zeros((3, 4, 2)), np.zeros((2, 1, 4))], [np.zeros((3, 4)), np.zeros((2, 1))])
+
+
 class TestDecide:
     """The verifier's decision rule (1 where the score exceeds lambda, ties
     decide 0), as empirical_roc applies it at every distinct score."""

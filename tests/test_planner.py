@@ -19,11 +19,12 @@ from irlv.planner import (
     plan_two_stage,
     run_pso,
 )
-from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, Position
+from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, Position, StreetScenario
 
 
 def _sphere(x):
-    return float(np.sum((x - 3.0) ** 2))
+    """Squared distance to (3, ..., 3), per row of a (P, dim) sweep."""
+    return np.sum((x - 3.0) ** 2, axis=-1)
 
 
 BOUNDS = (0.0, 10.0)
@@ -53,7 +54,7 @@ def _spy_run(cfg, dim, seed, initial_positions=None):
     seen = []
 
     def spy(x):
-        seen.append(np.array(x))
+        seen.extend(np.array(x))
         return _sphere(x)
 
     result = run_pso(spy, BOUNDS, dim, cfg, np.random.default_rng(seed), initial_positions)
@@ -268,7 +269,7 @@ FAST_EVAL = PlacementEvalConfig(
 def _score(scenario, xy, cfg):
     """evaluate_placement of one placement, with its own fields."""
     placed = scenario.with_bs_positions(np.reshape(xy, (-1, 2)))
-    return evaluate_placement(placed, generate_fields(placed, cfg.channel, cfg.field_seed), cfg)
+    return evaluate_placement(placed, generate_fields(placed, cfg.channel, cfg.field_seed), cfg)[0]
 
 
 class TestEvaluatePlacement:
@@ -357,6 +358,60 @@ class TestPlanPlacement:
         assert len(result.particle_values) == 4  # 12 evaluated placements
         assert aucs == [_score(scenario, x, self.GRID_EVAL).auc_value
                         for x in result.best_x_history]
+
+    def test_each_distinct_placement_evaluated_once(self, monkeypatch):
+        """Placements go to evaluate_placement once per sweep, each distinct
+        unseen one once: two particles clamped to the same corner cost one
+        network, and a frozen swarm's later sweeps cost none."""
+        evaluated = []
+
+        def spy(*args):
+            evaluated.append(np.array(args[3]))
+            return evaluate_placement(*args)
+
+        monkeypatch.setattr("irlv.planner.evaluate_placement", spy)
+        scenario = DiscRoiScenario()
+        starts = [[-5.0, -5.0], [30.0, 70.0], [-1.0, -20.0]]  # first and last clamp to (0, 0)
+        frozen = PsoConfig(n_particles=3, inertia=0.0, c1=0.0, c2=0.0, max_iterations=2,
+                           stall_iterations=3)
+        result, aucs = plan_placement(scenario, self.GRID_EVAL, frozen, np.random.default_rng(6),
+                                      initial_positions=starts)
+        assert len(evaluated) == 1
+        np.testing.assert_array_equal(evaluated[0], [[[0.0, 0.0]], [[30.0, 70.0]]])
+        first = result.particle_values[0]
+        assert first[0] == first[2]
+        assert result.particle_values == [first] * 3
+        assert aucs == [_score(scenario, result.best_x, self.GRID_EVAL).auc_value] * 3
+
+        evaluated.clear()
+        moving = PsoConfig(n_particles=4, max_iterations=3, stall_iterations=3)
+        result, _ = plan_placement(scenario, self.GRID_EVAL, moving, np.random.default_rng(7),
+                                   initial_positions=[[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]])
+        rows = np.concatenate(evaluated).reshape(-1, 2)
+        assert len(evaluated) <= len(result.particle_values)
+        assert len(rows) == len(np.unique(rows, axis=0)) <= 4 * len(result.particle_values) - 2
+
+    def test_pinned_street_run(self):
+        """One small search on the street map with shadowing, pinned by
+        literal values taken when every placement was trained alone."""
+        cfg = PlacementEvalConfig(
+            channel=ChannelParams(), s_total=600, n_hidden=4, n_layers=2,
+            train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64, seed=0),
+            field_seed=1, dataset_seed=2, init_seed=3,
+        )
+        pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
+        result, aucs = plan_placement(StreetScenario.default(), cfg, pso, np.random.default_rng(4))
+        assert result.best_x.tolist() == [
+            361.44679889744697, 502.71430949679916, 74.08427538609698, 47.31142273563954,
+            325.31428755077013, 282.42657073891803, 110.71465159089689, 503.23712531957375,
+            201.6591985672526, 176.1782557788802]
+        assert result.history == [0.5989056831819797, 0.5989056831819797, 0.4921270458506599]
+        assert aucs == [0.06452012383900928, 0.06452012383900928, 0.009535603715170277]
+        assert result.particle_values == [
+            [0.8734414859669541, 0.5989056831819797, 0.6170661525342359],
+            [0.6625162716516277, 0.6619014699984619, 0.8157915071228028],
+            [0.5720186825454701, 0.5889273232495985, 0.4921270458506599],
+        ]
 
     def test_two_stage_refinement(self):
         scenario = DiscRoiScenario()
