@@ -16,6 +16,7 @@ sampled on a regular grid and interpolated bilinearly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,11 @@ class ChannelParams:
             raise ValueError("sigma_s_db must be non-negative")
         if self.grid_spacing_m <= 0:
             raise ValueError("grid_spacing_m must be strictly positive")
+        if self.grid_spacing_m > self.d_c_m / 5.0:
+            raise ValueError(
+                f"grid_spacing_m: grid too coarse for d_c: {self.grid_spacing_m:g} m is above "
+                f"d_c_m / 5 = {self.d_c_m / 5.0:g} m"
+            )
 
 
 def path_loss_los_db(d, params: ChannelParams):
@@ -140,18 +146,17 @@ def _grid_axis(lo: float, hi: float, spacing: float) -> int:
     return int(math.ceil((hi - lo) / spacing - 1e-9)) + 1
 
 
-def _exponential_cov_dense(nx, ny, spacing, sigma, d_c, rng):
+def _dense_factor(nx, ny, spacing, sigma, d_c):
+    """Lower Cholesky factor of the covariance of the nx*ny grid nodes (x fastest)."""
     xs = np.arange(nx) * spacing
     ys = np.arange(ny) * spacing
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    px, py = gx.ravel(), gy.ravel()
+    # one expression, so each (N, N) difference is freed once it is squared
+    dist = np.sqrt((px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2)
     cov = sigma**2 * np.exp(-dist / d_c)
     cov[np.diag_indices_from(cov)] += 1e-10 * sigma**2
-    chol = np.linalg.cholesky(cov)
-    z = chol @ rng.standard_normal(nx * ny)
-    return z.reshape(ny, nx)
+    return np.linalg.cholesky(cov)
 
 
 def _circulant_eigenvalues(mx, my, spacing, sigma, d_c):
@@ -163,8 +168,8 @@ def _circulant_eigenvalues(mx, my, spacing, sigma, d_c):
     return lam
 
 
-def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
-    """Stationary Gaussian field via circulant embedding and FFT synthesis.
+def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
+    """Amplitudes sqrt(lam / (mx*my)) of the circulant embedding, shape (my, mx).
 
     The embedded torus covariance is exact for all in-grid lags; residual
     negative eigenvalues of the embedding are clipped after padding (their
@@ -187,21 +192,44 @@ def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
         mx = scipy.fft.next_fast_len(2 * mx)
         my = scipy.fft.next_fast_len(2 * my)
     lam = np.clip(lam, 0.0, None)
-    m_total = mx * my
+    return np.sqrt(lam / (mx * my))
+
+
+# A dense factor at the node limit is 50 MB, so only two grids are kept.
+# Failures (EmbeddingError) are not cached.
+@functools.lru_cache(maxsize=2)
+def _synthesis_factor(dense, nx, ny, spacing, sigma, d_c):
+    """Read-only per-grid factor: the Cholesky factor of the grid covariance
+    (dense) or the circulant-embedding amplitudes (FFT).  It depends only on
+    the grid and the covariance, so every field on that grid shares it."""
+    build = _dense_factor if dense else _fft_amplitudes
+    factor = build(nx, ny, spacing, sigma, d_c)
+    factor.flags.writeable = False
+    return factor
+
+
+def _exponential_cov_dense(nx, ny, spacing, sigma, d_c, rng):
+    chol = _synthesis_factor(True, nx, ny, spacing, sigma, d_c)
+    z = chol @ rng.standard_normal(nx * ny)
+    return z.reshape(ny, nx)
+
+
+def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
+    """Stationary Gaussian field via circulant embedding and FFT synthesis."""
+    amp = _synthesis_factor(False, nx, ny, spacing, sigma, d_c)
+    my, mx = amp.shape
     xi = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
-    w = scipy.fft.fft2(np.sqrt(lam / m_total) * xi)
+    w = scipy.fft.fft2(amp * xi)
     return w.real[:ny, :nx].copy()  # a view would keep the padded array alive
 
 
 def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> ShadowingField:
     """One shadowing map for one base station, deterministic given the seed.
 
-    The grid covers the scenario bounding box.  Grid spacing must resolve
-    the decorrelation distance (spacing <= d_c/5).
+    The grid covers the scenario bounding box.  Grid spacing resolves the
+    decorrelation distance (ChannelParams enforces spacing <= d_c/5).
     """
     spacing = params.grid_spacing_m
-    if spacing > params.d_c_m / 5.0:
-        raise ValueError("grid too coarse for d_c")
     xmin, ymin, xmax, ymax = scenario.bounds
     nx = _grid_axis(xmin, xmax, spacing)
     ny = _grid_axis(ymin, ymax, spacing)

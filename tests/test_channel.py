@@ -9,8 +9,10 @@ from irlv.channel import (
     ChannelParams,
     EmbeddingError,
     ShadowingField,
+    _circulant_eigenvalues,
     _exponential_cov_dense,
     _exponential_cov_fft,
+    _synthesis_factor,
     attenuation_matrix,
     field_seed,
     generate_fields,
@@ -174,9 +176,8 @@ class TestGenerateShadowingField:
         assert f.values.shape == (106, 106)
 
     def test_coarse_grid_rejected(self):
-        params = ChannelParams(grid_spacing_m=20.0)
         with pytest.raises(ValueError, match="grid too coarse"):
-            generate_shadowing_field(CircularScenario.default(), params, seed=0)
+            ChannelParams(grid_spacing_m=20.0)
 
     def test_deterministic_given_seed(self):
         s = CircularScenario.default()
@@ -211,6 +212,127 @@ class TestGenerateShadowingField:
     def test_field_seed_varies_with_bs(self):
         seen = {field_seed(9, n) for n in range(8)}
         assert len(seen) == 8
+
+    def test_dense_field_pinned(self):
+        """A 6x6 dense-route field, bit for bit: any change to the factor's
+        arithmetic or to the draw order shows here."""
+        params = ChannelParams(d_c_m=80.0, grid_spacing_m=16.0)
+        f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
+        expected = [
+            [0.27354213803915045, 6.469850353029973, 10.922725049283223, 6.598715628618726, 4.033871988022671, 0.880157390203276],
+            [4.626932062875277, 6.211766787394501, 10.514914894232344, 0.737279574720886, 7.167913331567826, 3.2192059603562306],
+            [7.461644130686391, 6.651358351273201, 5.094325137412827, 5.458942812514961, 8.127353295505056, 4.625843069456341],
+            [5.442317442259834, 8.173193301059415, 3.211167828391381, -0.9253471668293551, 4.460472756636565, 1.453475468634192],
+            [-3.799620253262312, -2.1222119755881126, -2.379863703525144, -5.975741927653113, -7.4808177839054295, -3.3165964899796556],
+            [-0.7288626189966774, -3.9853225031473722, -7.783784663402403, -6.494706558691142, -4.293065195714877, -5.115186011753501],
+        ]
+        np.testing.assert_array_equal(f.values, expected)
+
+    def test_fft_field_pinned(self):
+        """A 51x51 grid (2601 nodes, just over the dense limit) takes the FFT
+        route; its corner blocks are pinned bit for bit."""
+        params = ChannelParams(grid_spacing_m=1.6)
+        f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
+        assert f.values.shape == (51, 51)
+        np.testing.assert_array_equal(
+            f.values[:3, :3],
+            [
+                [5.667285628553236, 9.005608198371377, 9.88633458993771],
+                [6.183027926930508, 9.920767972842464, 10.485956727461941],
+                [9.569267898365387, 8.052187485273993, 10.461354371197677],
+            ],
+        )
+        np.testing.assert_array_equal(
+            f.values[-3:, -3:],
+            [
+                [6.699742450586099, 7.556375100364988, 7.013620982639676],
+                [6.0888790111847015, 5.838996754794406, 5.003715489735548],
+                [6.061588062503595, 4.1063893892903724, 6.015775089046954],
+            ],
+        )
+
+
+@pytest.fixture
+def empty_factor_cache():
+    _synthesis_factor.cache_clear()
+    yield
+    _synthesis_factor.cache_clear()
+
+
+# (scenario, params): the circular map on a 5 m grid is 17x17 nodes (dense
+# route); the street map on a 5 m grid is 106x106 (FFT route).
+ROUTES = {
+    "dense": (CircularScenario.default(), PARAMS),
+    "fft": (StreetScenario.default(), PARAMS),
+}
+
+
+@pytest.mark.usefixtures("empty_factor_cache")
+class TestSynthesisFactorCache:
+    def test_dense_factor_built_once_per_grid(self, monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def cholesky(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        s = CircularScenario.default()
+        generate_shadowing_field(s, PARAMS, seed=1)
+        generate_shadowing_field(s, PARAMS, seed=2)
+        assert len(calls) == 1
+        assert _synthesis_factor.cache_info().hits == 1
+
+    def test_fft_amplitudes_built_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def eigenvalues(*args):
+            calls.append(args)
+            return _circulant_eigenvalues(*args)
+
+        monkeypatch.setattr("irlv.channel._circulant_eigenvalues", eigenvalues)
+        generate_fields(StreetScenario.default(), PARAMS, base_seed=4)  # five fields
+        assert len(calls) == 1  # the 216x216 embedding needs no doubling
+        assert _synthesis_factor.cache_info().hits == 4
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_factor_is_read_only(self, dense):
+        factor = _synthesis_factor(dense, 16, 16, 2.0, 8.0, 10.0)
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_field_after_hit_equals_field_after_clear(self, route):
+        scenario, params = ROUTES[route]
+        generate_shadowing_field(scenario, params, seed=1)
+        hit = generate_shadowing_field(scenario, params, seed=2).values
+        assert _synthesis_factor.cache_info().hits == 1
+        _synthesis_factor.cache_clear()
+        fresh = generate_shadowing_field(scenario, params, seed=2).values
+        assert _synthesis_factor.cache_info().hits == 0
+        np.testing.assert_array_equal(hit, fresh)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_factor_depends_on_sigma_d_c_and_spacing(self, dense):
+        base = _synthesis_factor(dense, 16, 16, 2.0, 8.0, 10.0)
+        for spacing, sigma, d_c in ((2.0, 4.0, 10.0), (2.0, 8.0, 20.0), (3.0, 8.0, 10.0)):
+            other = _synthesis_factor(dense, 16, 16, spacing, sigma, d_c)
+            assert not np.array_equal(base, other), (spacing, sigma, d_c)
+
+    def test_failed_embedding_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(EmbeddingError):
+                _exponential_cov_fft(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
+        assert _synthesis_factor.cache_info().currsize == 0
+
+    def test_holds_at_most_two_grids(self):
+        grids = [(True, 8, 8, 2.0, 8.0, 10.0), (False, 16, 16, 2.0, 8.0, 10.0), (True, 10, 6, 2.0, 8.0, 10.0)]
+        for args in grids * 2:
+            _synthesis_factor(*args)
+            assert _synthesis_factor.cache_info().currsize <= 2
+        info = _synthesis_factor.cache_info()
+        assert (info.maxsize, info.hits, info.misses) == (2, 0, 6)
 
 
 class TestBilinearInterpolation:

@@ -239,6 +239,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "config error: [nn] epochs: cannot read 'soon' as int\n"
 
+    def test_coarse_grid_is_config_error(self, tmp_path, capsys):
+        text = STREET.replace("sigma_s_db = 0.0", "sigma_s_db = 8.0\ngrid_spacing_m = 20.0")
+        cfg = write_cfg(tmp_path, text)
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: [channel] grid_spacing_m: grid too coarse for d_c: "
+            "20 m is above d_c_m / 5 = 15 m\n"
+        )
+
     def test_divergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         from irlv.mlp import TrainingDivergedError
 
