@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from .errors import NumericError
+
 SPEED_OF_LIGHT = 299792458.0
 
 # Grids at or below this node count use exact dense covariance factorization;
@@ -30,7 +32,7 @@ SPEED_OF_LIGHT = 299792458.0
 _DENSE_NODE_LIMIT = 2500
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(NumericError):
     """Circulant embedding still indefinite after the last padding (d_c too large)."""
 
 
@@ -109,15 +111,6 @@ class ShadowingField:
     @property
     def ny(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        return (
-            self.origin_x,
-            self.origin_y,
-            self.origin_x + (self.nx - 1) * self.spacing,
-            self.origin_y + (self.ny - 1) * self.spacing,
-        )
 
     def at(self, x, y):
         """Bilinear interpolation of the grid at (x, y); scalars or arrays."""
@@ -286,14 +279,13 @@ def attenuation_matrix(scenario, fields, params: ChannelParams, xy: np.ndarray) 
 
 
 _FIELD_MAGIC = "shadowing-field-v1"
-_FIELD_HEADER_KEYS = ("origin_x", "origin_y", "spacing", "nx", "ny", "sigma_s_db", "d_c_m", "seed")
 
 
 def save_field(field: ShadowingField, path) -> None:
     """CSV grid export with a header carrying origin, spacing, and dims.
 
-    Values are written with 17 significant digits so the import is
-    bit-exact.
+    Values are written with 17 significant digits, so
+    np.loadtxt(path, delimiter=",") reads the grid back bit-exact.
     """
     with open(path, "w") as f:
         f.write(f"# {_FIELD_MAGIC}\n")
@@ -314,30 +306,3 @@ def save_field(field: ShadowingField, path) -> None:
             f.write(",".join(format(v, ".17g") for v in row))
             f.write("\n")
 
-
-def load_field(path) -> ShadowingField:
-    with open(path) as f:
-        magic = f.readline().strip()
-        if magic != f"# {_FIELD_MAGIC}":
-            raise ValueError(f"not a shadowing field file: {path}")
-        header = dict(
-            item.split("=", 1) for item in f.readline().lstrip("# ").strip().split()
-        )
-        missing = [k for k in _FIELD_HEADER_KEYS if k not in header]
-        if missing:
-            raise ValueError(f"field header of {path} lacks key {missing[0]!r}")
-        nx, ny = int(header["nx"]), int(header["ny"])
-        values = np.array(
-            [[float(v) for v in f.readline().split(",")] for _ in range(ny)]
-        )
-    if values.shape != (ny, nx):
-        raise ValueError("field grid does not match its header dimensions")
-    return ShadowingField(
-        origin_x=float(header["origin_x"]),
-        origin_y=float(header["origin_y"]),
-        spacing=float(header["spacing"]),
-        values=values,
-        sigma_s_db=float(header["sigma_s_db"]),
-        d_c_m=float(header["d_c_m"]),
-        seed=int(header["seed"]),
-    )

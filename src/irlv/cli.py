@@ -3,7 +3,8 @@
 Every run is a pure function of (config, seeds): identical inputs produce
 byte-identical CSVs, and a manifest written at run end references each
 emitted file by content hash.  Exit codes: 0 success, 2 config error,
-3 numeric failure.
+3 numeric failure (a NumericError, raised only at the known degenerate
+points); any other error is a bug and shows its traceback.
 """
 
 import argparse
@@ -33,8 +34,8 @@ from .config import (
     default_config_path,
     load_config,
 )
+from .errors import NumericError
 from .evaluation import auc, average_roc, roc_to_csv
-from .mlp import TrainingDivergedError
 from .mlp import train  # noqa: F401  bench/tests/test_bench.py checks that tracing patches it here
 from .neyman_pearson import SectorGeometry, np_roc
 from .planner import (
@@ -43,16 +44,6 @@ from .planner import (
     PlacementEvalConfig,
     evaluate_placement,
     plan_placement,
-)
-
-# ConfigError subclasses ValueError, so it must be caught before these
-NUMERIC_ERRORS = (
-    TrainingDivergedError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-    OverflowError,
-    ZeroDivisionError,
-    ValueError,
 )
 
 EXIT_OK = 0
@@ -77,7 +68,8 @@ def _map_jobs(fn, payloads, jobs: int):
     """Run independent jobs, preserving payload order in the results."""
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(*p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method launches every worker at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         futures = [pool.submit(fn, *p) for p in payloads]
         return [f.result() for f in futures]
 
@@ -362,7 +354,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"wrote {len(outputs)} files and manifest.json to {out_dir}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .mlp import TrainConfig
-from .neyman_pearson import MIN_NP_ROC_SAMPLES
+from .neyman_pearson import MAX_RESOLUTION_RAD, MIN_NP_ROC_SAMPLES
 from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig
 from .scenario import CircularScenario, StreetScenario
 
@@ -197,6 +197,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"[eval] n_np_samples: need at least {MIN_NP_ROC_SAMPLES}")
     if eval_cfg.n_thetas < 2:
         raise ConfigError("[eval] n_thetas: need at least 2 thresholds")
+    if not 0.0 < eval_cfg.resolution_rad <= MAX_RESOLUTION_RAD:
+        raise ConfigError(f"[eval] resolution_rad: must lie in (0, {MAX_RESOLUTION_RAD:g}] rad")
 
     # the sweep lists default to the single [nn]/[dataset] value
     sweep = SweepConfig(**{
@@ -205,6 +207,8 @@ def load_config(path) -> RunConfig:
     })
     if sweep.n_seeds < 1 or sweep.n_field_realizations < 1:
         raise ConfigError("[sweep] n_seeds/n_field_realizations: must be at least 1")
+    if min(sweep.n_hidden) < 1:
+        raise ConfigError("[sweep] n_hidden: every width must be at least 1")
     smallest_split = int(min(sweep.s_total + (placement.s_total,)) * placement.train_frac)
     if train.batch_size > smallest_split:
         raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")

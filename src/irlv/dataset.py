@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import attenuation_matrix
+from .errors import NumericError
 from .scenario import REGION_INSIDE, REGION_OUTSIDE
 
 
@@ -130,7 +131,7 @@ def normalize(dataset: Dataset, stats: NormalizationStats | None = None) -> Data
         if zero.size:
             *placement, feature = zero[0].tolist()
             where = f" of placement {placement[0]}" if placement else ""
-            raise ValueError(f"feature {feature}{where} has zero variance")
+            raise NumericError(f"feature {feature}{where} has zero variance")
         stats = NormalizationStats(mean=mean, std=std)
     return Dataset(
         features=stats.apply(dataset.features),

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 
 @dataclass(frozen=True)
 class RocCurve:
@@ -94,7 +96,7 @@ def empirical_roc(scores, labels) -> RocCurve:
     s0 = np.sort(s[t == 0])
     s1 = np.sort(s[t == 1])
     if len(s0) == 0 or len(s1) == 0:
-        raise ValueError("both classes must be present")
+        raise NumericError("both classes must be present")
     lams = np.unique(np.concatenate([s, [0.0]]))
     p_fa = (len(s0) - np.searchsorted(s0, lams, side="right")) / len(s0)
     p_md = np.searchsorted(s1, lams, side="right") / len(s1)
@@ -109,14 +111,13 @@ def auc(roc: RocCurve) -> float:
 DEFAULT_FA_GRID = np.linspace(0.0, 1.0, 200)
 
 
-def average_roc(curves, p_fa_grid=None) -> RocCurve:
-    """Pointwise mean of curves linearly interpolated onto a common grid."""
+def average_roc(curves) -> RocCurve:
+    """Pointwise mean of curves linearly interpolated onto DEFAULT_FA_GRID."""
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
-    grid = DEFAULT_FA_GRID if p_fa_grid is None else np.asarray(p_fa_grid, dtype=float)
-    md = np.mean([np.interp(grid, c.p_fa, c.p_md) for c in curves], axis=0)
-    return RocCurve.from_points(grid, md)
+    md = np.mean([np.interp(DEFAULT_FA_GRID, c.p_fa, c.p_md) for c in curves], axis=0)
+    return RocCurve.from_points(DEFAULT_FA_GRID, md)
 
 
 @dataclass(frozen=True)

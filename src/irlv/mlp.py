@@ -13,11 +13,11 @@ so all gradients carry a 1/ln2 factor.
 An MLP may also be a stack of P networks of the same shape, one per
 feature set over the same rows: weights (P, n_out, n_in), features
 (n, P, n_in) with the row axis first.  forward, backward and train take
-either.  A stack's products are batched matmuls over the leading P axis,
-which numpy runs as one 2-D BLAS product per network with the shapes of
-the single network's products, so each network of a stack ends
-bit-identical to training it alone; a single network is the unstacked
-case of the same code.
+either, always as a batch of rows.  A stack's products are batched
+matmuls over the leading P axis, which numpy runs as one 2-D BLAS product
+per network with the shapes of the single network's products, so each
+network of a stack scores and trains bit-identical to the network alone;
+a single network is the unstacked case of the same code.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import NumericError
+
 LN2 = math.log(2.0)
 SCORE_EPS = 1e-12
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(NumericError):
     """Parameters or the loss stopped being finite; train names the
     diverged networks of a stack and the epoch in the message."""
 
@@ -71,16 +73,8 @@ class MLP:
         """() for a single network, (P,) for a stack of P."""
         return self.weights[0].shape[:-2]
 
-    def unstack(self) -> list[MLP]:
-        """The networks of a stack as single networks on views of its
-        arrays; [self] for a single network."""
-        if not self.stack_shape:
-            return [self]
-        return [MLP([w[p] for w in self.weights], [b[p] for b in self.biases])
-                for p in range(self.stack_shape[0])]
 
-
-def default_layer_sizes(n_inputs: int, n_hidden: int = 8, n_layers: int = 3) -> list[int]:
+def default_layer_sizes(n_inputs: int, n_hidden: int, n_layers: int) -> list[int]:
     """[n_inputs, n_hidden * (n_layers - 1), 1]; n_layers counts weight layers."""
     if n_layers < 1:
         raise ValueError("need at least one layer")
@@ -128,21 +122,12 @@ def _forward_all(mlp: MLP, x: np.ndarray) -> list[np.ndarray]:
     return ys
 
 
-def forward(mlp: MLP, a):
-    """Score t~ in (0, 1); float for a single vector, (n,) array for a batch.
-
-    A stack scores (n, P, n_inputs) rows as (n, P), one network at a time,
-    so that scoring a large set holds one network's activations at once.
-    """
+def forward(mlp: MLP, a) -> np.ndarray:
+    """Scores t~ in (0, 1): (n,) for (n, n_inputs) rows, (n, P) for a
+    stack's (n, P, n_inputs) rows."""
     x = np.asarray(a, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     _check_batch(mlp, x)
-    if mlp.stack_shape:
-        return np.stack([forward(net, x[:, p]) for p, net in enumerate(mlp.unstack())], axis=1)
-    out = _forward_all(mlp, x)[-1][:, 0]
-    return float(out[0]) if single else out
+    return _forward_all(mlp, x.swapaxes(0, -2))[-1][..., 0].T
 
 
 def ce_loss(scores, labels) -> float:

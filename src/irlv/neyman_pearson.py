@@ -30,17 +30,20 @@ LLR_SENTINEL_BITS = 1024.0
 
 MIN_NP_ROC_SAMPLES = 10_000
 
+# coarsest angular resolution of the alpha scan, in radians
+MAX_RESOLUTION_RAD = 1e-3
+
 
 @dataclass(frozen=True)
 class SectorGeometry:
     """Circular scenario plus the angular resolution of the alpha scan."""
 
     scenario: CircularScenario
-    resolution_rad: float = 1e-4
+    resolution_rad: float
 
     def __post_init__(self):
-        if not 0.0 < self.resolution_rad <= 1e-3:
-            raise ValueError("angular resolution must lie in (0, 1e-3] rad")
+        if not 0.0 < self.resolution_rad <= MAX_RESOLUTION_RAD:
+            raise ValueError(f"angular resolution must lie in (0, {MAX_RESOLUTION_RAD:g}] rad")
 
     @property
     def area_a0(self) -> float:

@@ -224,33 +224,18 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, pso: PsoConfig,
     return result, [cache[x.tobytes()].auc_value for x in result.best_x_history]
 
 
-@dataclass(frozen=True)
-class TwoStageResult:
-    stage1: PsoResult
-    stage2: PsoResult | None
-    best_x: np.ndarray
-    best_value: float
-
-    @property
-    def history(self) -> list[float]:
-        if self.stage2 is None:
-            return list(self.stage1.history)
-        return list(self.stage1.history) + list(self.stage2.history)
-
-
 def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
-                   stage2: PsoConfig | None, rng: np.random.Generator) -> TwoStageResult:
-    """CE-objective search, optionally refined by an AUC-objective stage.
+                   stage2: PsoConfig, rng: np.random.Generator
+                   ) -> tuple[tuple[PsoResult, list[float]], tuple[PsoResult, list[float]]]:
+    """A search with stage1's objective (CE in the paper), refined by one
+    with stage2's (AUC); returns both plan_placement results.
 
     Stage two starts with one particle at the stage-one best placement and
     the rest jittered around it (sigma = map extent / 20, clamped).
     """
-    result1, _ = plan_placement(scenario, cfg, stage1, rng)
-    if stage2 is None:
-        return TwoStageResult(result1, None, result1.best_x, result1.best_value)
+    result1, aucs1 = plan_placement(scenario, cfg, stage1, rng)
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
     seeds = np.tile(result1.best_x, (stage2.n_particles, 1))
     seeds[1:] += rng.normal(0.0, sigma, size=seeds[1:].shape)
-    result2, _ = plan_placement(scenario, cfg, stage2, rng, initial_positions=seeds)
-    return TwoStageResult(result1, result2, result2.best_x, result2.best_value)
+    return (result1, aucs1), plan_placement(scenario, cfg, stage2, rng, initial_positions=seeds)

@@ -1,4 +1,4 @@
-"""Map geometry: scenarios, region-of-interest labeling, LOS classification, sampling.
+"""Map geometry: scenarios, regions of interest, LOS classification, sampling.
 
 Two scenario layouts are supported:
 
@@ -26,12 +26,7 @@ import numpy as np
 
 REGION_INSIDE = "inside"
 REGION_OUTSIDE = "outside"
-REGION_MAP = "map"
-_REGIONS = (REGION_INSIDE, REGION_OUTSIDE, REGION_MAP)
-
-
-class OutOfMapError(ValueError):
-    """Raised when a queried position lies outside the scenario map."""
+_REGIONS = (REGION_INSIDE, REGION_OUTSIDE)
 
 
 class Position(NamedTuple):
@@ -68,10 +63,6 @@ class Rectangle:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def centroid(self) -> Position:
-        return Position(0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
     def contains(self, x, y):
         """Closed-set membership; x and y may be scalars or arrays."""
@@ -112,25 +103,12 @@ def _rejection_sample(bbox, accept, rng, size):
 
 
 # shared by both scenario classes, which supply contains(), roi and bounds
-def _in_roi_many(scenario, xy: np.ndarray) -> np.ndarray:
-    """Labels for an (n, 2) array of in-map positions: 0 inside ROI, 1 outside.
-
-    The ROI is closed, so boundary points count as inside.
-    """
-    xy = np.asarray(xy, dtype=float)
-    if not np.all(scenario.contains(xy[:, 0], xy[:, 1])):
-        raise OutOfMapError("position out of map")
-    return np.where(scenario.roi.contains(xy[:, 0], xy[:, 1]), 0, 1).astype(np.int64)
-
-
 def _sample_region(scenario, region: str, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform (size, 2) positions over ``"inside"`` (ROI), ``"outside"``, or ``"map"``."""
+    """Uniform (size, 2) positions over ``"inside"`` (the ROI) or ``"outside"``."""
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
     if region == REGION_INSIDE:
         return scenario.roi.sample(rng, size)
-    if region == REGION_MAP:
-        return _rejection_sample(scenario.bounds, scenario.contains, rng, size)
     return _rejection_sample(
         scenario.bounds,
         lambda x, y: scenario.contains(x, y) & ~scenario.roi.contains(x, y),
@@ -174,27 +152,24 @@ class StreetScenario:
                 raise ValueError(f"base station outside the map: {p}")
 
     @classmethod
-    def default(cls, map_side=525.0, building_side=255.0, street_width=15.0, roi=None,
-                bs_positions=None) -> "StreetScenario":
+    def default(cls, map_side=525.0, building_side=255.0, street_width=15.0) -> "StreetScenario":
         """Scenario with the standard urban layout: 525 m map, 255 m buildings,
         15 m streets, five base stations (one per street arm plus map center).
 
-        The default ROI is the quadrant of the lower-left building closest to
-        the map center.
+        The ROI is the quadrant of the lower-left building closest to the
+        map center.
         """
         b, w = building_side, street_width
         mid = b + 0.5 * w  # street center line
-        if roi is None:
-            roi = Rectangle(0.5 * b, 0.5 * b, b, b)
-        if bs_positions is None:
-            bs_positions = (
-                Position(0.5 * b, mid),            # west arm, horizontal street
-                Position(b + w + 0.5 * b, mid),    # east arm
-                Position(mid, 0.5 * b),            # south arm, vertical street
-                Position(mid, b + w + 0.5 * b),    # north arm
-                Position(mid, mid),                # street intersection
-            )
-        return cls(map_side, building_side, street_width, roi, tuple(bs_positions))
+        bs_positions = (
+            Position(0.5 * b, mid),            # west arm, horizontal street
+            Position(b + w + 0.5 * b, mid),    # east arm
+            Position(mid, 0.5 * b),            # south arm, vertical street
+            Position(mid, b + w + 0.5 * b),    # north arm
+            Position(mid, mid),                # street intersection
+        )
+        return cls(map_side, building_side, street_width, Rectangle(0.5 * b, 0.5 * b, b, b),
+                   bs_positions)
 
     @property
     def n_bs(self) -> int:
@@ -205,27 +180,14 @@ class StreetScenario:
         return (0.0, 0.0, self.map_side, self.map_side)
 
     @property
-    def horizontal_street(self) -> Rectangle:
-        b, w = self.building_side, self.street_width
-        return Rectangle(0.0, b, self.map_side, b + w)
-
-    @property
-    def vertical_street(self) -> Rectangle:
-        b, w = self.building_side, self.street_width
-        return Rectangle(b, 0.0, b + w, self.map_side)
-
-    @property
     def streets(self) -> tuple[Rectangle, Rectangle]:
-        return (self.horizontal_street, self.vertical_street)
+        """The horizontal and the vertical street."""
+        b, w = self.building_side, self.street_width
+        return (Rectangle(0.0, b, self.map_side, b + w), Rectangle(b, 0.0, b + w, self.map_side))
 
     def contains(self, x, y):
         return Rectangle(0.0, 0.0, self.map_side, self.map_side).contains(x, y)
 
-    def on_street(self, x, y):
-        """Membership in the union of the two streets."""
-        return self.horizontal_street.contains(x, y) | self.vertical_street.contains(x, y)
-
-    in_roi_many = _in_roi_many
     sample_region = _sample_region
 
     def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:
@@ -301,7 +263,6 @@ class CircularScenario:
     def contains(self, x, y):
         return np.asarray(x) ** 2 + np.asarray(y) ** 2 <= self.r_out**2
 
-    in_roi_many = _in_roi_many
     sample_region = _sample_region
 
     def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:

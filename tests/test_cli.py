@@ -2,13 +2,15 @@
 
 import json
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from irlv.channel import ChannelParams, generate_fields, load_field
-from irlv.cli import main, proxy_validity_flags
+from irlv.channel import ChannelParams, generate_fields
+from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import build_scenario, load_config
+from irlv.errors import NumericError
 
 CIRCULAR = """\
 [scenario]
@@ -115,6 +117,31 @@ class TestRoc:
             assert run([command, "--config", cfg, "--out", b, "--jobs", 2]) == 0
             assert read_manifest(a)["outputs"] == read_manifest(b)["outputs"]
 
+    def test_jobs_clamped_to_task_count(self, monkeypatch):
+        """No more workers than tasks: the fork start method would launch
+        all of them at the first submit.  An inline pool records the count."""
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("irlv.cli.ProcessPoolExecutor", InlinePool)
+        assert _map_jobs(pow, [(2, 3), (3, 2), (2, 5)], 64) == [8, 9, 32]
+        assert _map_jobs(pow, [(2, 3), (3, 2)], 1) == [8, 9]
+        assert requested == [3]
+
     def test_seed_offset_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULAR)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -202,10 +229,10 @@ class TestField:
         np.testing.assert_allclose(theory_at_dc, 64.0 * np.exp(-1.0))
         np.testing.assert_allclose(rows[0, 2], 64.0)
 
-        loaded = load_field(out / "field_bs0.csv")
+        loaded = np.loadtxt(out / "field_bs0.csv", delimiter=",")
         scenario = build_scenario(load_config(cfg).scenario)
         regenerated = generate_fields(scenario, ChannelParams(sigma_s_db=8.0), 0)[0]
-        np.testing.assert_array_equal(loaded.values, regenerated.values)
+        np.testing.assert_array_equal(loaded, regenerated.values)
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_realizations"] == 25
@@ -249,6 +276,13 @@ class TestExitCodes:
             "20 m is above d_c_m / 5 = 15 m\n"
         )
 
+    def test_coarse_angular_resolution_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CIRCULAR.replace("resolution_rad = 1e-3", "resolution_rad = 0.01"))
+        assert run(["np-compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [eval] resolution_rad: must lie in (0, 0.001] rad\n"
+        )
+
     def test_divergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         from irlv.mlp import TrainingDivergedError
 
@@ -269,9 +303,20 @@ class TestExitCodes:
 
     def test_degenerate_data_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
-            raise ValueError("feature 0 has zero variance")
+            raise NumericError("feature 0 has zero variance")
 
         monkeypatch.setattr("irlv.planner.normalize", degenerate)
         cfg = write_cfg(tmp_path, CIRCULAR)
         assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_other_value_error_is_a_bug_not_numeric(self, tmp_path, monkeypatch):
+        """A ValueError outside the degenerate points propagates with its
+        traceback instead of exiting 3."""
+        def broken_writer(*args, **kwargs):
+            raise ValueError("planted bug")
+
+        monkeypatch.setattr("irlv.cli.roc_to_csv", broken_writer)
+        cfg = write_cfg(tmp_path, CIRCULAR)
+        with pytest.raises(ValueError, match="planted bug"):
+            run(["roc", "--config", cfg, "--out", tmp_path / "o"])

@@ -91,7 +91,9 @@ class TestLoadConfig:
         ("[bogus]\n", r"\[bogus\]: unknown section"),
         ("[channel]\nc_m_s = 3e8\n", r"\[channel\] c_m_s: unknown key"),
         ("[eval]\nn_np_samples = 9999\n", r"\[eval\] n_np_samples: need at least 10000"),
-    ], ids=["unknown-key", "unknown-section", "constant", "np-samples"])
+        ("[eval]\nresolution_rad = 0.01\n", r"^\[eval\] resolution_rad: must lie in \(0, 0.001\] rad$"),
+        ("[sweep]\nn_hidden = 0,4\n", r"^\[sweep\] n_hidden: every width must be at least 1$"),
+    ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width"])
     def test_bad_input_named_by_key(self, tmp_path, text, match):
         path = write_cfg(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=match):

@@ -5,6 +5,7 @@ import pytest
 
 from irlv.channel import ChannelParams, generate_fields
 from irlv.dataset import Dataset, generate_dataset, normalize, split
+from irlv.errors import NumericError
 from irlv.scenario import CircularScenario, StreetScenario
 
 
@@ -30,7 +31,9 @@ class TestGenerateDataset:
     def test_labels_match_positions(self):
         scenario = StreetScenario.default()
         ds = _small_dataset(scenario=scenario)
-        np.testing.assert_array_equal(ds.labels, scenario.in_roi_many(ds.positions))
+        xy = ds.positions
+        assert np.all(scenario.contains(xy[:, 0], xy[:, 1]))
+        np.testing.assert_array_equal(ds.labels, ~scenario.roi.contains(xy[:, 0], xy[:, 1]))
 
     def test_order_is_shuffled(self):
         ds = _small_dataset(s_total=400)
@@ -119,7 +122,7 @@ class TestNormalize:
     def test_zero_variance_feature_named(self):
         feats = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
         ds = Dataset(feats, np.zeros(5, np.int64), np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="feature 1"):
+        with pytest.raises(NumericError, match="feature 1"):
             normalize(ds)
 
     def test_labels_and_count_preserved(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irlv.evaluation import (
+    DEFAULT_FA_GRID,
     RocCurve,
     auc,
     average_roc,
@@ -11,6 +12,7 @@ from irlv.evaluation import (
     empirical_roc,
     roc_to_csv,
 )
+from irlv.errors import NumericError
 
 
 class TestRocCurveFromPoints:
@@ -78,7 +80,7 @@ class TestEmpiricalRoc:
         assert auc(c) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
+        with pytest.raises(NumericError, match="both classes"):
             empirical_roc(np.array([0.1, 0.9]), np.array([1, 1]))
 
     def test_invariant_under_increasing_transform(self):
@@ -134,6 +136,7 @@ class TestAverageRoc:
     def test_single_curve_identity(self):
         c = self._curve(0)
         avg = average_roc([c])
+        np.testing.assert_array_equal(avg.p_fa, DEFAULT_FA_GRID)
         np.testing.assert_allclose(auc(avg), auc(c), atol=1e-3)
 
     def test_identical_curves(self):
@@ -147,11 +150,6 @@ class TestAverageRoc:
         curves = [self._curve(s) for s in range(4)]
         mean_auc = np.mean([auc(c) for c in curves])
         np.testing.assert_allclose(auc(average_roc(curves)), mean_auc, atol=1e-3)
-
-    def test_custom_grid(self):
-        c = self._curve(2)
-        avg = average_roc([c], p_fa_grid=np.linspace(0, 1, 50))
-        assert len(avg) == 50
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

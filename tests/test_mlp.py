@@ -27,7 +27,7 @@ def _as_dataset(x, t):
 
 class TestInit:
     def test_default_architecture(self):
-        assert default_layer_sizes(5) == [5, 8, 8, 1]
+        assert default_layer_sizes(5, 8, 3) == [5, 8, 8, 1]
         assert default_layer_sizes(3, n_hidden=4, n_layers=2) == [3, 4, 1]
 
     def test_deterministic(self):
@@ -69,8 +69,7 @@ class TestInit:
 class TestForward:
     def test_zero_parameters_give_half(self):
         mlp = MLP([np.zeros((8, 5)), np.zeros((1, 8))], [np.zeros(8), np.zeros(1)])
-        assert forward(mlp, np.zeros(5)) == 0.5
-        assert forward(mlp, np.ones(5)) == 0.5
+        assert np.all(forward(mlp, np.stack([np.zeros(5), np.ones(5)])) == 0.5)
 
     def test_single_weight_is_plain_sigmoid(self):
         """A [1, 1] network computes sigma(w*a + b)."""
@@ -78,7 +77,7 @@ class TestForward:
         mlp = MLP([np.array([[w]])], [np.array([0.0])])
         for a in (-2.0, 0.0, 1.5):
             expected = 1.0 / (1.0 + math.exp(-w * a))
-            np.testing.assert_allclose(forward(mlp, [a]), expected, rtol=1e-12)
+            np.testing.assert_allclose(forward(mlp, [[a]]), [expected], rtol=1e-12)
 
     def test_two_layer_hand_composition(self):
         """[1, 1, 1] network equals sigma(w2*sigma(w1*a + b1) + b2)."""
@@ -89,7 +88,7 @@ class TestForward:
         a = 0.8
         h = 1.0 / (1.0 + math.exp(-(2.0 * a + 0.25)))
         expected = 1.0 / (1.0 + math.exp(-(-1.5 * h + 0.5)))
-        np.testing.assert_allclose(forward(mlp, [a]), expected, rtol=1e-12)
+        np.testing.assert_allclose(forward(mlp, [[a]]), [expected], rtol=1e-12)
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(42)
@@ -103,12 +102,15 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(10, 4))
         batch = forward(mlp, x)
-        np.testing.assert_allclose(batch, [forward(mlp, row) for row in x], rtol=1e-12)
+        assert batch.shape == (10,)
+        np.testing.assert_allclose(batch, [forward(mlp, row[None])[0] for row in x], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         mlp = init_mlp([4, 6, 1], seed=2)
         with pytest.raises(ValueError):
-            forward(mlp, np.zeros(5))
+            forward(mlp, np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="shape"):
+            forward(mlp, np.zeros(4))  # a single vector must come as a (1, 4) batch
 
 
 class TestCeLoss:

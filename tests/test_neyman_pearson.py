@@ -19,7 +19,7 @@ from irlv.neyman_pearson import (
 from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, CircularScenario
 
 PARAMS = ChannelParams()
-GEO = SectorGeometry(CircularScenario.default())
+GEO = SectorGeometry(CircularScenario.default(), 1e-4)
 TWO_PI = 2.0 * math.pi
 
 
@@ -105,7 +105,7 @@ class TestAlpha:
     def test_full_circle_when_roi_surrounds_origin(self):
         from irlv.scenario import Rectangle
 
-        geo = SectorGeometry(CircularScenario(r_out=40.0, roi=Rectangle(-10, -10, 10, 10)))
+        geo = SectorGeometry(CircularScenario(r_out=40.0, roi=Rectangle(-10, -10, 10, 10)), 1e-4)
         np.testing.assert_allclose(alpha(1.0, geo), TWO_PI, rtol=1e-9)
 
     def test_area_identity(self):

@@ -217,10 +217,6 @@ class DiscRoiScenario:
     def _inside(self, x, y):
         return np.hypot(x - self.roi_center[0], y - self.roi_center[1]) <= self.roi_radius
 
-    def in_roi_many(self, xy):
-        xy = np.asarray(xy, dtype=float)
-        return np.where(self._inside(xy[:, 0], xy[:, 1]), 0, 1).astype(np.int64)
-
     def los_mask(self, xy, bs_index):
         return np.ones(np.asarray(xy).shape[0], dtype=bool)
 
@@ -417,16 +413,10 @@ class TestPlanPlacement:
         scenario = DiscRoiScenario()
         stage1 = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
         stage2 = dataclasses.replace(stage1, objective=OBJECTIVE_AUC)
-        result = plan_two_stage(scenario, self.GRID_EVAL, stage1, stage2, np.random.default_rng(3))
-        assert result.stage2 is not None
-        assert result.best_value == result.stage2.best_value
-        assert result.history == result.stage1.history + result.stage2.history
-        # stage 2 scores in AUC units
-        assert 0.0 <= result.best_value <= 1.0
-
-    def test_two_stage_without_refinement(self):
-        scenario = DiscRoiScenario()
-        stage1 = PsoConfig(n_particles=2, max_iterations=2, stall_iterations=2)
-        result = plan_two_stage(scenario, self.GRID_EVAL, stage1, None, np.random.default_rng(4))
-        assert result.stage2 is None
-        np.testing.assert_array_equal(result.best_x, result.stage1.best_x)
+        (result1, aucs1), (result2, aucs2) = plan_two_stage(
+            scenario, self.GRID_EVAL, stage1, stage2, np.random.default_rng(3))
+        assert len(aucs1) == len(result1.history)
+        # stage 2's first particle sits at the stage-1 best, scored in AUC units
+        assert result2.particle_values[0][0] == aucs1[-1]
+        assert aucs2 == result2.history
+        assert 0.0 <= result2.best_value <= aucs1[-1]

@@ -1,0 +1,71 @@
+"""Property tests: ROC curve invariants and the alpha scan against brute force."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irlv.evaluation import RocCurve
+from irlv.neyman_pearson import SectorGeometry, alpha
+from irlv.scenario import CircularScenario, Rectangle
+
+TWO_PI = 2.0 * math.pi
+
+# the same examples on every run, and no example database on disk
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+# probabilities, with the endpoints and repeated values drawn often
+probability = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=False), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+)
+operating_points = st.lists(st.tuples(probability, probability), min_size=1, max_size=40)
+
+
+@DETERMINISTIC
+@given(operating_points)
+def test_from_points_invariants(points):
+    fa, md = np.array(points).T
+    c = RocCurve.from_points(fa, md, thresholds=np.arange(len(fa)))
+    assert len(c.thresholds) == len(c)
+    # endpoints: always-accept at p_fa = 0, always-reject at (1, 0)
+    assert c.p_fa[0] == 0.0 and c.p_fa[-1] == 1.0 and c.p_md[-1] == 0.0
+    assert np.all(np.diff(c.p_fa) > 0)
+    assert np.all(np.diff(c.p_md) <= 0)
+    # every interior point is an input p_fa, and every input p_fa is kept
+    assert set(c.p_fa) == set(fa) | {0.0, 1.0}
+    # lower envelope: the best p_md among inputs at or left of each point;
+    # the added (0, p_md0) point repeats the first input's envelope value
+    for x, y in zip(c.p_fa[:-1], c.p_md[:-1]):
+        assert y == md[fa <= max(x, fa.min())].min()
+
+
+def _alpha_scan(r_values, geometry):
+    """Brute force: count the bin-midpoint angles whose point lies in the ROI."""
+    k = geometry.n_angles
+    phi = (np.arange(k) + 0.5) * (TWO_PI / k)
+    roi = geometry.scenario.roi
+    return np.array([roi.contains(r * np.cos(phi), r * np.sin(phi)).sum() * (TWO_PI / k)
+                     for r in r_values])
+
+
+coordinate = st.floats(-30.0, 30.0, allow_subnormal=False)
+extent = st.floats(0.5, 30.0, allow_subnormal=False)
+
+
+@DETERMINISTIC
+@given(
+    corner=st.tuples(coordinate, coordinate),
+    size=st.tuples(extent, extent),
+    resolution=st.sampled_from([1e-3, 5e-4]),
+    radii=st.lists(st.floats(1e-2, 90.0, allow_subnormal=False), min_size=1, max_size=20),
+)
+def test_alpha_matches_angle_scan(corner, size, resolution, radii):
+    (x, y), (w, h) = corner, size
+    roi = Rectangle(x, y, x + w, y + h)
+    r_out = math.hypot(max(abs(x), abs(x + w)), max(abs(y), abs(y + h))) + 1.0
+    geometry = SectorGeometry(CircularScenario(r_out, roi), resolution)
+    r = np.array(radii)
+    # equal up to rounding for points within an ulp of the ROI boundary
+    np.testing.assert_allclose(alpha(r, geometry), _alpha_scan(r, geometry),
+                               rtol=0, atol=2 * TWO_PI / geometry.n_angles)

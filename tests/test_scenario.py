@@ -7,21 +7,33 @@ import pytest
 
 from irlv.scenario import (
     REGION_INSIDE,
-    REGION_MAP,
     REGION_OUTSIDE,
     CircularScenario,
-    OutOfMapError,
     Position,
     Rectangle,
     StreetScenario,
 )
 
 
+# the dataset's label convention: 0 inside the (closed) ROI, 1 outside
+def _label(scenario, xy) -> np.ndarray:
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    return np.where(scenario.roi.contains(xy[:, 0], xy[:, 1]), 0, 1)
+
+
+def _on_street(scenario, x, y):
+    horizontal, vertical = scenario.streets
+    return horizontal.contains(x, y) | vertical.contains(x, y)
+
+
+def _map_draws(scenario, rng, size):
+    """Uniform draws over the scenario's bounds, kept where it contains them."""
+    xmin, ymin, xmax, ymax = scenario.bounds
+    xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(size, 2))
+    return xy[scenario.contains(xy[:, 0], xy[:, 1])]
+
+
 # one-row queries through the batch API
-def _in_roi(scenario, pos) -> int:
-    return int(scenario.in_roi_many(np.array([pos], dtype=float))[0])
-
-
 def _is_los(scenario, pos, bs_index: int) -> bool:
     return bool(scenario.los_mask(np.array([pos], dtype=float), bs_index)[0])
 
@@ -41,10 +53,9 @@ class TestRectangle:
         assert not r.contains(0.999, 3)
         assert not r.contains(2, 4.001)
 
-    def test_area_and_centroid(self):
+    def test_area(self):
         r = Rectangle(127.5, 127.5, 255.0, 255.0)
         np.testing.assert_allclose(r.area, 127.5**2)
-        np.testing.assert_allclose(r.centroid, (191.25, 191.25))
 
 
 class TestStreetScenarioGeometry:
@@ -76,30 +87,26 @@ class TestStreetScenarioGeometry:
         assert exact == 525.0**2 - 4 * 255.0**2 == 15525.0
         xs = np.linspace(0.25, s.map_side - 0.25, 1050)
         gx, gy = np.meshgrid(xs, xs)
-        frac = s.on_street(gx.ravel(), gy.ravel()).mean()
+        frac = _on_street(s, gx.ravel(), gy.ravel()).mean()
         np.testing.assert_allclose(frac * s.map_side**2, exact, rtol=5e-3)
 
     def test_default_bs_positions_sit_in_streets(self):
         s = StreetScenario.default()
         for n, bs in enumerate(s.bs_positions):
-            assert s.on_street(bs.x, bs.y), f"base station {n} off street"
+            assert _on_street(s, bs.x, bs.y), f"base station {n} off street"
 
     def test_roi_is_the_lower_left_building(self):
         s = StreetScenario.default()
         assert s.roi == Rectangle(127.5, 127.5, 255.0, 255.0)
-        assert not s.on_street(191.25, 191.25)
+        assert not _on_street(s, 191.25, 191.25)
         assert s.contains(191.25, 191.25)
 
     def test_in_roi_labels(self):
         s = StreetScenario.default()
-        assert _in_roi(s, Position(191.25, 191.25)) == 0
-        assert _in_roi(s, Position(127.5, 127.5)) == 0
-        assert _in_roi(s, Position(400.0, 400.0)) == 1
-        assert _in_roi(s, Position(262.5, 262.5)) == 1
-        with pytest.raises(OutOfMapError):
-            _in_roi(s, Position(-1.0, 10.0))
-        with pytest.raises(OutOfMapError):
-            _in_roi(s, Position(10.0, 526.0))
+        labels = _label(s, [(191.25, 191.25), (127.5, 127.5), (400.0, 400.0), (262.5, 262.5)])
+        assert labels.tolist() == [0, 0, 1, 1]
+        assert not s.contains(-1.0, 10.0)
+        assert not s.contains(10.0, 526.0)
 
     def test_with_bs_positions(self):
         s = StreetScenario.default()
@@ -148,7 +155,7 @@ class TestStreetLos:
         """A batch query answers each point as a one-row query does."""
         s = StreetScenario.default()
         rng = np.random.default_rng(7)
-        xy = s.sample_region(REGION_MAP, rng, 300)
+        xy = _map_draws(s, rng, 300)
         for n in range(s.n_bs):
             mask = s.los_mask(xy, n)
             scalar = np.array([_is_los(s, Position(x, y), n) for x, y in xy])
@@ -168,21 +175,22 @@ class TestStreetSampling:
         rng = np.random.default_rng(42)
         inside = s.sample_region(REGION_INSIDE, rng, 2000)
         outside = s.sample_region(REGION_OUTSIDE, rng, 2000)
-        assert np.all(s.in_roi_many(inside) == 0)
-        assert np.all(s.in_roi_many(outside) == 1)
+        assert np.all(_label(s, inside) == 0)
+        assert np.all(_label(s, outside) == 1)
+        assert np.all(s.contains(outside[:, 0], outside[:, 1]))
 
     def test_single_draw_is_a_position(self):
         s = StreetScenario.default()
         rng = np.random.default_rng(0)
         xy = s.sample_region(REGION_INSIDE, rng, 1)
         assert xy.shape == (1, 2)
-        assert _in_roi(s, Position(*xy[0])) == 0
+        assert _label(s, xy[0]) == 0
 
     def test_map_sampler_covers_streets_and_buildings(self):
         s = StreetScenario.default()
         rng = np.random.default_rng(3)
-        xy = s.sample_region(REGION_MAP, rng, 5000)
-        on_street = s.on_street(xy[:, 0], xy[:, 1])
+        xy = _map_draws(s, rng, 5000)
+        on_street = _on_street(s, xy[:, 0], xy[:, 1])
         assert 0 < on_street.sum() < len(xy)
 
     def test_unknown_region_rejected(self):
@@ -221,17 +229,15 @@ class TestCircularScenario:
 
     def test_in_roi_and_bounds(self):
         c = CircularScenario.default()
-        assert _in_roi(c, Position(10.0, 0.0)) == 0
-        assert _in_roi(c, Position(-10.0, 0.0)) == 1
-        assert _in_roi(c, Position(0.0, 40.0)) == 1
-        with pytest.raises(OutOfMapError):
-            _in_roi(c, Position(40.1, 0.0))
+        assert _label(c, [(10.0, 0.0), (-10.0, 0.0), (0.0, 40.0)]).tolist() == [0, 1, 1]
+        assert c.contains(0.0, 40.0)
+        assert not c.contains(40.1, 0.0)
 
     def test_always_los(self):
         c = CircularScenario.default()
         assert _is_los(c, Position(-30.0, 20.0), 0)
         rng = np.random.default_rng(5)
-        xy = c.sample_region(REGION_MAP, rng, 100)
+        xy = _map_draws(c, rng, 100)
         assert np.all(c.los_mask(xy, 0))
 
     def test_samplers_respect_regions(self):
@@ -239,8 +245,8 @@ class TestCircularScenario:
         rng = np.random.default_rng(42)
         inside = c.sample_region(REGION_INSIDE, rng, 1000)
         outside = c.sample_region(REGION_OUTSIDE, rng, 1000)
-        assert np.all(c.in_roi_many(inside) == 0)
-        assert np.all(c.in_roi_many(outside) == 1)
+        assert np.all(_label(c, inside) == 0)
+        assert np.all(_label(c, outside) == 1)
         r = np.hypot(outside[:, 0], outside[:, 1])
         assert np.all(r <= c.r_out)
 
