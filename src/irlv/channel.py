@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import NumericError
 
@@ -152,13 +151,49 @@ def _dense_factor(nx, ny, spacing, sigma, d_c):
     return np.linalg.cholesky(cov)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c * 7^d * 11^e >= n, the lengths numpy's
+    pocketfft transforms fastest (the value scipy.fft.next_fast_len gives)."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        grown = []
+        for m in lengths:
+            while m < n:  # a product already >= n only grows by another factor
+                m *= p
+                grown.append(m)
+        lengths += grown
+    return min(m for m in lengths if m >= n)
+
+
+def _fft2(a: np.ndarray) -> np.ndarray:
+    """2-D FFT of a complex array, in place, in the order scipy.fft.fft2
+    runs it (first axis first), so the result matches it bit for bit.
+    In place, it allocates no padded-size array per transform."""
+    np.fft.fft(a, axis=0, out=a)
+    return np.fft.fft(a, axis=1, out=a)
+
+
+def _real_fft2(cov: np.ndarray) -> np.ndarray:
+    """Real part of the 2-D FFT of a real array, bit for bit as
+    scipy.fft.fft2(cov).real: rfft along the last axis, fft along the
+    first, and the other half of the last axis filled from the Hermitian
+    mirror of the entry that the same row-major fill reads."""
+    my, mx = cov.shape
+    half = np.fft.fft(np.fft.rfft(cov, axis=1), axis=0).real
+    j = np.arange(my)[:, None]
+    k = np.arange(mx)[None, :]
+    mirror = mx - k
+    rows = np.where(k < mirror, j, (-j) % my)
+    rows = np.where((k == 0) | (k == mirror), np.minimum(j, (-j) % my), rows)
+    return half[rows, np.minimum(k, mirror)]
+
+
 def _circulant_eigenvalues(mx, my, spacing, sigma, d_c):
     ux = np.minimum(np.arange(mx), mx - np.arange(mx)) * spacing
     uy = np.minimum(np.arange(my), my - np.arange(my)) * spacing
     dist = np.sqrt(uy[:, None] ** 2 + ux[None, :] ** 2)
     cov = sigma**2 * np.exp(-dist / d_c)
-    lam = scipy.fft.fft2(cov).real
-    return lam
+    return _real_fft2(cov)
 
 
 def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
@@ -169,8 +204,8 @@ def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
     mass may be at most 1e-6 of the positive mass after at most three
     doublings, else EmbeddingError).
     """
-    mx = scipy.fft.next_fast_len(2 * nx)
-    my = scipy.fft.next_fast_len(2 * ny)
+    mx = _next_fast_len(2 * nx)
+    my = _next_fast_len(2 * ny)
     for doubling in range(4):
         lam = _circulant_eigenvalues(mx, my, spacing, sigma, d_c)
         neg, pos = -lam[lam < 0].sum(), lam[lam > 0].sum()
@@ -182,8 +217,8 @@ def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
                 f"{mx}x{my}: negative eigenvalue mass is {neg / pos:.2g} of the positive "
                 f"mass (limit 1e-06); d_c = {d_c:g} m is too large"
             )
-        mx = scipy.fft.next_fast_len(2 * mx)
-        my = scipy.fft.next_fast_len(2 * my)
+        mx = _next_fast_len(2 * mx)
+        my = _next_fast_len(2 * my)
     lam = np.clip(lam, 0.0, None)
     return np.sqrt(lam / (mx * my))
 
@@ -212,7 +247,7 @@ def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
     amp = _synthesis_factor(False, nx, ny, spacing, sigma, d_c)
     my, mx = amp.shape
     xi = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
-    w = scipy.fft.fft2(amp * xi)
+    w = _fft2(amp * xi)
     return w.real[:ny, :nx].copy()  # a view would keep the padded array alive
 
 

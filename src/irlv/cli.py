@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel import generate_fields, generate_shadowing_field, save_field
@@ -305,7 +304,6 @@ def _write_manifest(out_dir: Path, command: str, config_path: Path,
             "irlv": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
         },
     }
     tmp = out_dir / "manifest.json.tmp"

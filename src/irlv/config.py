@@ -6,6 +6,7 @@ its dataclass field; paper.cfg ships those same standard values.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -209,7 +210,16 @@ def load_config(path) -> RunConfig:
         raise ConfigError("[sweep] n_seeds/n_field_realizations: must be at least 1")
     if min(sweep.n_hidden) < 1:
         raise ConfigError("[sweep] n_hidden: every width must be at least 1")
-    smallest_split = int(min(sweep.s_total + (placement.s_total,)) * placement.train_frac)
+    if placement.s_total < 2:
+        raise ConfigError("[dataset] s_total: need at least 2 samples")
+    if min(sweep.s_total) < 2:
+        raise ConfigError("[sweep] s_total: every sample count must be at least 2")
+    sizes = sweep.s_total + (placement.s_total,)
+    for s in sizes:  # generate_dataset draws floor(p0 * s) rows inside, the rest outside
+        if math.floor(placement.p0 * s) in (0, s):
+            raise ConfigError(f"[dataset] p0: {placement.p0:g} of {s} samples leaves one "
+                              f"class without rows")
+    smallest_split = int(min(sizes) * placement.train_frac)
     if train.batch_size > smallest_split:
         raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")
 

@@ -18,6 +18,8 @@ matmuls over the leading P axis, which numpy runs as one 2-D BLAS product
 per network with the shapes of the single network's products, so each
 network of a stack scores and trains bit-identical to the network alone;
 a single network is the unstacked case of the same code.
+
+The sigmoid is 1/(1 + exp(-z)) on numpy's own exp, computed in place.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError
 
@@ -111,6 +112,16 @@ def _check_batch(mlp: MLP, x: np.ndarray) -> None:
                          f"got {x.shape}")
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) in place.  Below z = -709 exp(-z) overflows to inf
+    and the result is exactly 0; callers silence that overflow with one
+    np.errstate per call of train or forward, not one per layer."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
 def _forward_all(mlp: MLP, x: np.ndarray) -> list[np.ndarray]:
     """Activations per layer, input included, for a (n, n_inputs) batch or
     a stack's network-major (P, n, n_inputs) batch."""
@@ -118,7 +129,7 @@ def _forward_all(mlp: MLP, x: np.ndarray) -> list[np.ndarray]:
     for w, b in zip(mlp.weights, mlp.biases):
         z = ys[-1] @ w.mT
         z += b[..., None, :]
-        ys.append(expit(z, out=z))
+        ys.append(_sigmoid(z))
     return ys
 
 
@@ -127,7 +138,8 @@ def forward(mlp: MLP, a) -> np.ndarray:
     stack's (n, P, n_inputs) rows."""
     x = np.asarray(a, dtype=float)
     _check_batch(mlp, x)
-    return _forward_all(mlp, x.swapaxes(0, -2))[-1][..., 0].T
+    with np.errstate(over="ignore"):
+        return _forward_all(mlp, x.swapaxes(0, -2))[-1][..., 0].T
 
 
 def ce_loss(scores, labels) -> float:
@@ -203,16 +215,17 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float | np.nda
     if config.batch_size > n:
         raise ValueError("batch_size exceeds the training set size")
     rng = np.random.default_rng(config.seed)
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            grads_w, grads_b = backward(mlp, x[idx], t[idx])
-            for w, b, gw, gb in zip(mlp.weights, mlp.biases, grads_w, grads_b):
-                w -= config.learning_rate * gw
-                b -= config.learning_rate * gb
-        _raise_if_diverged(np.logical_and.reduce(
-            [np.isfinite(w).all(axis=(-2, -1)) for w in mlp.weights]), epoch)
+    with np.errstate(over="ignore"):  # for the sigmoid, see _sigmoid
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                grads_w, grads_b = backward(mlp, x[idx], t[idx])
+                for w, b, gw, gb in zip(mlp.weights, mlp.biases, grads_w, grads_b):
+                    w -= config.learning_rate * gw
+                    b -= config.learning_rate * gb
+            _raise_if_diverged(np.logical_and.reduce(
+                [np.isfinite(w).all(axis=(-2, -1)) for w in mlp.weights]), epoch)
     scores = forward(mlp, x).reshape(n, -1)
     final_ce = np.array([ce_loss(s, t) for s in scores.T]).reshape(mlp.stack_shape)
     _raise_if_diverged(np.isfinite(final_ce), config.epochs)

@@ -12,6 +12,9 @@ from irlv.channel import (
     _circulant_eigenvalues,
     _exponential_cov_dense,
     _exponential_cov_fft,
+    _fft2,
+    _next_fast_len,
+    _real_fft2,
     _synthesis_factor,
     attenuation_matrix,
     field_seed,
@@ -249,6 +252,33 @@ class TestGenerateShadowingField:
                 [6.061588062503595, 4.1063893892903724, 6.015775089046954],
             ],
         )
+
+
+# even, odd, mixed and non-square shapes, and the 106x106 street grid's embedding
+FFT_SHAPES = [(8, 8), (9, 9), (6, 9), (9, 6), (7, 12), (1, 5), (5, 1), (105, 212), (216, 216)]
+
+
+class TestNumpyFftMatchesScipy:
+    """The FFT route runs on numpy.fft alone; scipy.fft, which it replaced,
+    is the reference it must match bit for bit."""
+
+    def test_next_fast_len(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        ns = range(1, 5001)
+        assert [_next_fast_len(n) for n in ns] == [scipy_fft.next_fast_len(n) for n in ns]
+
+    @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+    def test_complex_fft2(self, shape):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        np.testing.assert_array_equal(_fft2(a.copy()), scipy_fft.fft2(a))
+
+    @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+    def test_real_fft2(self, shape):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        cov = np.random.default_rng(1).standard_normal(shape)
+        np.testing.assert_array_equal(_real_fft2(cov), scipy_fft.fft2(cov).real)
 
 
 @pytest.fixture

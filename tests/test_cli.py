@@ -283,6 +283,15 @@ class TestExitCodes:
             "config error: [eval] resolution_rad: must lie in (0, 0.001] rad\n"
         )
 
+    def test_class_without_rows_is_config_error(self, tmp_path, capsys):
+        """floor(p0 * s_total) = 0 is refused before any training, not
+        after it as a one-class split."""
+        cfg = write_cfg(tmp_path, CIRCULAR.replace("p0 = 0.5", "p0 = 0.0001"))
+        assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [dataset] p0: 0.0001 of 200 samples leaves one class without rows\n"
+        )
+
     def test_divergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         from irlv.mlp import TrainingDivergedError
 

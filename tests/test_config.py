@@ -93,7 +93,14 @@ class TestLoadConfig:
         ("[eval]\nn_np_samples = 9999\n", r"\[eval\] n_np_samples: need at least 10000"),
         ("[eval]\nresolution_rad = 0.01\n", r"^\[eval\] resolution_rad: must lie in \(0, 0.001\] rad$"),
         ("[sweep]\nn_hidden = 0,4\n", r"^\[sweep\] n_hidden: every width must be at least 1$"),
-    ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width"])
+        ("[sweep]\ns_total = 0,300\n", r"^\[sweep\] s_total: every sample count must be at least 2$"),
+        ("[dataset]\ns_total = 1\n", r"^\[dataset\] s_total: need at least 2 samples$"),
+        ("[dataset]\ns_total = 3000\np0 = 0.0001\n",
+         r"^\[dataset\] p0: 0.0001 of 3000 samples leaves one class without rows$"),
+        ("[dataset]\np0 = 0.0001\n[sweep]\ns_total = 30000,3000\n",
+         r"^\[dataset\] p0: 0.0001 of 3000 samples leaves one class without rows$"),
+    ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width",
+            "sweep-size", "dataset-size", "empty-class", "empty-class-in-sweep"])
     def test_bad_input_named_by_key(self, tmp_path, text, match):
         path = write_cfg(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=match):

@@ -1,6 +1,7 @@
 """Network tests: forward algebra, loss, gradient oracle, training, posteriors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,33 @@ class TestForward:
             forward(mlp, np.zeros((3, 5)))
         with pytest.raises(ValueError, match="shape"):
             forward(mlp, np.zeros(4))  # a single vector must come as a (1, 4) batch
+
+
+def _identity_net() -> MLP:
+    """One sigmoid neuron with weight 1 and bias 0: forward is the sigmoid."""
+    return MLP([np.ones((1, 1))], [np.zeros(1)])
+
+
+class TestSigmoid:
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = forward(_identity_net(), [[-800.0], [800.0], [-709.0], [0.0]])
+        assert out[0] == 0.0 and out[1] == 1.0
+        assert 0.0 < out[2] < 1e-300 and out[3] == 0.5
+
+    def test_training_on_saturated_rows_raises_no_warning(self):
+        data = _as_dataset([[-800.0], [800.0]], [0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ce = train(_identity_net(), data, TrainConfig(epochs=2, batch_size=2))
+        assert np.isfinite(ce)
+
+    def test_matches_scipy_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        z = np.linspace(-40.0, 40.0, 20_001)
+        np.testing.assert_allclose(forward(_identity_net(), z[:, None]), expit(z),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 class TestCeLoss:

@@ -1,0 +1,50 @@
+"""Packaging: the program runs on numpy alone, and pyproject.toml lists
+exactly the third-party modules it imports."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import irlv
+
+PACKAGE = Path(irlv.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level names of the absolute imports in src/irlv that are neither
+    the standard library nor irlv itself."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"irlv"}
+
+
+def _distribution_name(requirement: str) -> str:
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, irlv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_dependencies_are_exactly_the_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    listed = {_distribution_name(r) for r in project["dependencies"]}
+    assert listed == _third_party_imports() == {"numpy"}
+    test_extra = {_distribution_name(r) for r in project["optional-dependencies"]["test"]}
+    assert "scipy" in test_extra
