@@ -300,17 +300,23 @@ def attenuation_matrix(scenario, fields, params: ChannelParams, xy: np.ndarray) 
     fields may be None for a shadowing-free channel.
     """
     xy = np.asarray(xy, dtype=float)
-    if fields is not None and len(fields) != scenario.n_bs:
-        raise ValueError("need one shadowing field per base station")
     out = np.empty((xy.shape[0], scenario.n_bs))
     for n, bs in enumerate(scenario.bs_positions):
         d = np.hypot(xy[:, 0] - bs.x, xy[:, 1] - bs.y)
         los = scenario.los_mask(xy, n)
-        pl = np.where(los, path_loss_los_db(d, params), path_loss_nlos_db(d, params))
-        if fields is not None:
-            pl = pl + fields[n].at(xy[:, 0], xy[:, 1])
-        out[:, n] = pl
+        out[:, n] = np.where(los, path_loss_los_db(d, params), path_loss_nlos_db(d, params))
+    if fields is not None:
+        out += shadowing_matrix(scenario, fields, xy)
     return out
+
+
+def shadowing_matrix(scenario, fields, xy: np.ndarray) -> np.ndarray:
+    """Each base station's shadowing in dB at (n, 2) positions; shape
+    (n, n_bs).  It depends on the positions alone, not on where the base
+    stations stand."""
+    if len(fields) != scenario.n_bs:
+        raise ValueError("need one shadowing field per base station")
+    return np.column_stack([f.at(xy[:, 0], xy[:, 1]) for f in fields])
 
 
 _FIELD_MAGIC = "shadowing-field-v1"

@@ -170,7 +170,11 @@ def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
 
 def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
     """Placement searches per objective and seed, with best-value history
-    CSVs and the per-iteration mean AUC across seeds."""
+    CSVs and the per-iteration mean AUC across seeds.
+
+    A seed's searches share one evaluation config, so they run as one job
+    in lockstep (see plan_placement); --jobs splits the seeds.
+    """
     # the disc scenario pins its base station at the origin (the oracle's
     # geometry), so there is nothing to place there
     if cfg.scenario.kind != SCENARIO_STREET:
@@ -180,15 +184,14 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
         else [cfg.objective]
     )
     scenario = build_scenario(cfg.scenario)
-    tasks = [(obj, k) for obj in objectives for k in range(cfg.sweep.n_seeds)]
     payloads = []
-    for obj, k in tasks:
+    for k in range(cfg.sweep.n_seeds):
         seeds = cfg.seeds.shifted(offset + k)
-        payloads.append((
-            scenario, _task_config(cfg, seeds),
-            dataclasses.replace(cfg.pso, objective=obj), np.random.default_rng(seeds.pso),
-        ))
-    runs = dict(zip(tasks, _map_jobs(plan_placement, payloads, jobs)))
+        searches = [(dataclasses.replace(cfg.pso, objective=obj), np.random.default_rng(seeds.pso))
+                    for obj in objectives]
+        payloads.append((scenario, _task_config(cfg, seeds), searches))
+    runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
+            for obj, run in zip(objectives, seed_runs)}
     outputs = []
     summary = {}
     for obj in objectives:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import attenuation_matrix
+from .channel import attenuation_matrix, shadowing_matrix
 from .errors import NumericError
 from .scenario import REGION_INSIDE, REGION_OUTSIDE
 
@@ -72,7 +72,7 @@ def generate_dataset(scenario, fields, params, s_total: int, p0: float,
     is then shuffled.  The draws depend on the map and the ROI alone, so
     placements, a (P, n_bs, 2) array of base-station positions, gets one
     attenuation matrix per placement over the same rows: features
-    (s_total, P, n_bs).
+    (s_total, P, n_bs), with the shadowing interpolated once for all.
     """
     if s_total < 2:
         raise ValueError("need at least two samples")
@@ -97,7 +97,9 @@ def generate_dataset(scenario, fields, params, s_total: int, p0: float,
     else:
         a = np.empty((s_total, len(placements), scenario.n_bs))
         for k, p in enumerate(placements):
-            a[:, k] = attenuation_matrix(scenario.with_bs_positions(p), fields, params, xy)
+            a[:, k] = attenuation_matrix(scenario.with_bs_positions(p), None, params, xy)
+        if fields is not None:  # interpolated once for every placement
+            a += shadowing_matrix(scenario, fields, xy)[:, None]
     return Dataset(features=a, labels=t, positions=xy)
 
 

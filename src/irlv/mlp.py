@@ -167,7 +167,9 @@ def backward(mlp: MLP, features: np.ndarray, labels) -> tuple[list[np.ndarray], 
     grads_b = [np.empty(0)] * mlp.n_layers
     for l in range(mlp.n_layers - 1, -1, -1):
         grads_w[l] = delta.mT @ ys[l]
-        grads_b[l] = delta.sum(axis=-2)
+        # einsum adds rows in order, as sum does rows wider than one, without
+        # sum's slow strided loop over a stack; sum adds a column pairwise
+        grads_b[l] = np.einsum("...bo->...o", delta) if delta.shape[-1] > 1 else delta.sum(axis=-2)
         if l:
             y = ys[l]
             delta = (delta @ mlp.weights[l]) * y * (1.0 - y)

@@ -14,7 +14,10 @@ objective differences reflect placement alone.  The positions, labels,
 initial weights and mini-batch order are therefore shared by every
 placement: evaluate_placement draws the rows once and trains the networks
 of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
-training it alone.
+training it alone.  plan_placement runs the searches that share one
+evaluation config (a seed's CE and AUC searches) in lockstep too: one
+field draw, one cache of placement scores and one stack per sweep for all
+of them, with each search's results as if it ran alone.
 """
 
 from __future__ import annotations
@@ -81,6 +84,20 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
     Stops after stall_iterations without improvement beyond
     stall_tolerance, or at max_iterations.
     """
+    search = _swarm(bounds, dim, config, rng, initial_positions)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(objective_fn(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _swarm(bounds, dim: int, config: PsoConfig, rng: np.random.Generator, initial_positions):
+    """run_pso's search as a generator: yields each sweep's positions,
+    takes their values by send and returns the PsoResult.  It draws from
+    rng only while it runs, so searches with their own generators can run
+    in lockstep."""
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (dim,)) for b in bounds)
     if np.any(lo >= hi):
         raise ValueError("lower bounds must stay below upper bounds")
@@ -94,13 +111,13 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
         x = np.clip(np.asarray(initial_positions, dtype=float).reshape(n, dim), lo, hi)
         v = rng.uniform(-span / 10.0, span / 10.0, size=(n, dim))
 
-    def score(x):
-        values = np.array(objective_fn(x), dtype=float)
+    def checked(values):
+        values = np.array(values, dtype=float)
         if values.shape != (n,):
             raise ValueError(f"objective_fn returned shape {values.shape} for {n} particles")
         return values
 
-    values = score(x)
+    values = checked((yield x))
     best_x, best_values = x.copy(), values
     g = int(np.argmin(best_values))
     gbest_x, gbest_value = best_x[g].copy(), float(best_values[g])
@@ -113,7 +130,7 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
         phi1, phi2 = rng.uniform(0.0, accel, size=(n, 2, dim)).swapaxes(0, 1)
         v = config.inertia * v + phi1 * (best_x - x) + phi2 * (gbest_x - x)
         x = np.clip(x + v, lo, hi)
-        values = score(x)
+        values = checked((yield x))
         particle_values.append(values.tolist())
         improved = values < best_values
         best_values[improved] = values[improved]
@@ -194,34 +211,44 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
             for c, roc in zip(np.atleast_1d(ce), rocs)]
 
 
-def plan_placement(scenario, cfg: PlacementEvalConfig, pso: PsoConfig,
-                   rng: np.random.Generator, initial_positions=None
-                   ) -> tuple[PsoResult, list[float]]:
-    """PSO over n_bs base-station positions on the scenario map.
+def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positions=None
+                   ) -> list[tuple[PsoResult, list[float]]]:
+    """PSO over n_bs base-station positions on the scenario map, for
+    searches run in lockstep on one evaluation config.
 
-    The objective is pso.objective: training CE or test AUC.  The fields
-    are drawn once for the run and each distinct placement is evaluated
-    once: a sweep's not yet seen placements go to evaluate_placement in one
-    call, as one stack.  Returns the swarm result and the test AUC of the
-    best placement at every iteration.
+    searches holds one (PsoConfig, Generator) pair per search, whose
+    objective is pso.objective: training CE or test AUC.  initial_positions,
+    if given, holds one start (or None) per search.  The fields are drawn
+    once and each distinct placement is evaluated once, whichever search
+    reaches it: every sweep, the not yet seen placements of all running
+    searches go to evaluate_placement in one call, as one stack.  A search
+    leaves the loop when it stalls or reaches its max_iterations.  Returns
+    per search the swarm result and the test AUC of the best placement at
+    every iteration, each as if the search had run alone.
     """
     fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
-    cache: dict[bytes, PlacementScore] = {}
-
-    def objective_fn(xs):
-        keys = [row.tobytes() for row in xs]
-        new = {key: row for key, row in zip(keys, xs) if key not in cache}
-        if new:
-            placements = np.reshape(list(new.values()), (len(new), -1, 2))
-            cache.update(zip(new, evaluate_placement(scenario, fields, cfg, placements)))
-        scores = [cache[key] for key in keys]
-        return [s.ce_bits if pso.objective == OBJECTIVE_CE else s.auc_value for s in scores]
-
-    dim = 2 * scenario.n_bs
+    cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
-    result = run_pso(objective_fn, bounds, dim, pso, rng, initial_positions)
-    return result, [cache[x.tobytes()].auc_value for x in result.best_x_history]
+    starts = [None] * len(searches) if initial_positions is None else initial_positions
+    swarms = [_swarm(bounds, 2 * scenario.n_bs, pso, rng, x0)
+              for (pso, rng), x0 in zip(searches, starts, strict=True)]
+    sweeps = {i: next(search) for i, search in enumerate(swarms)}
+    results = [None] * len(swarms)
+    while sweeps:
+        rows = np.concatenate(list(sweeps.values()))
+        new = {row.tobytes(): row for row in rows if row.tobytes() not in cache}
+        if new:
+            placements = np.reshape(list(new.values()), (len(new), -1, 2))
+            cache.update((key, {OBJECTIVE_CE: s.ce_bits, OBJECTIVE_AUC: s.auc_value}) for key, s
+                         in zip(new, evaluate_placement(scenario, fields, cfg, placements)))
+        for i, xs in list(sweeps.items()):
+            try:
+                sweeps[i] = swarms[i].send([cache[x.tobytes()][searches[i][0].objective] for x in xs])
+            except StopIteration as stop:
+                results[i] = stop.value
+                del sweeps[i]
+    return [(r, [cache[x.tobytes()][OBJECTIVE_AUC] for x in r.best_x_history]) for r in results]
 
 
 def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
@@ -233,9 +260,9 @@ def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
     Stage two starts with one particle at the stage-one best placement and
     the rest jittered around it (sigma = map extent / 20, clamped).
     """
-    result1, aucs1 = plan_placement(scenario, cfg, stage1, rng)
+    [(result1, aucs1)] = plan_placement(scenario, cfg, [(stage1, rng)])
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
     seeds = np.tile(result1.best_x, (stage2.n_particles, 1))
     seeds[1:] += rng.normal(0.0, sigma, size=seeds[1:].shape)
-    return (result1, aucs1), plan_placement(scenario, cfg, stage2, rng, initial_positions=seeds)
+    return (result1, aucs1), plan_placement(scenario, cfg, [(stage2, rng)], [seeds])[0]

@@ -198,10 +198,10 @@ class TestCapacityAndDataTrends:
             assert mean_auc[(8, s)] <= mean_auc[(2, s)] + 0.02
 
 
-def _placement_search(objective: str, k: int, s_total: int, epochs: int,
-                      max_iterations: int):
-    """One seeded swarm run over the street map; returns the result and the
-    final placement's test AUC (from the evaluation cache)."""
+def _placement_search(objectives, k: int, s_total: int, epochs: int, max_iterations: int):
+    """Seeded swarm runs over the street map, one per objective, in
+    lockstep on one evaluation config; returns per objective the result
+    and the final placement's test AUC (from the evaluation cache)."""
     scenario = StreetScenario.default()
     eval_cfg = PlacementEvalConfig(
         channel=ChannelParams(), s_total=s_total, p0=0.5, train_frac=0.7,
@@ -212,26 +212,30 @@ def _placement_search(objective: str, k: int, s_total: int, epochs: int,
     )
     # plan_placement searches the map's bounds, (0, 0) to (525, 525)
     assert scenario.bounds == (0.0, 0.0, 525.0, 525.0)
-    result, best_aucs = plan_placement(
-        scenario, eval_cfg, PsoConfig(max_iterations=max_iterations, objective=objective),
-        np.random.default_rng(3000 + k),
-    )
-    return result, best_aucs[-1]
+    runs = plan_placement(scenario, eval_cfg, [
+        (PsoConfig(max_iterations=max_iterations, objective=objective),
+         np.random.default_rng(3000 + k))
+        for objective in objectives
+    ])
+    return {objective: (result, best_aucs[-1])
+            for objective, (result, best_aucs) in zip(objectives, runs)}
 
 
-def _final_auc(objective: str, k: int) -> float:
-    """Final-placement test AUC of one criterion-7 search."""
-    return _placement_search(objective, k, s_total=20_000, epochs=100, max_iterations=10)[1]
+def _final_aucs(k: int) -> dict:
+    """Final-placement test AUC of seed k's two criterion-7 searches."""
+    runs = _placement_search((OBJECTIVE_CE, OBJECTIVE_AUC), k, s_total=20_000, epochs=100,
+                             max_iterations=10)
+    return {objective: final_auc for objective, (_, final_auc) in runs.items()}
 
 
 class TestSwarmSearch:
     def test_criterion_6_pso_bookkeeping(self):
         """Global-best histories are exactly monotone, and a full placement
         run is bit-reproducible under fixed seeds."""
-        first, _ = _placement_search(OBJECTIVE_CE, 0, s_total=2_000, epochs=40,
-                                     max_iterations=4)
-        second, _ = _placement_search(OBJECTIVE_CE, 0, s_total=2_000, epochs=40,
-                                      max_iterations=4)
+        first, _ = _placement_search((OBJECTIVE_CE,), 0, s_total=2_000, epochs=40,
+                                     max_iterations=4)[OBJECTIVE_CE]
+        second, _ = _placement_search((OBJECTIVE_CE,), 0, s_total=2_000, epochs=40,
+                                      max_iterations=4)[OBJECTIVE_CE]
         assert first.history == second.history
         np.testing.assert_array_equal(first.best_x, second.best_x)
         for a, b in zip(first.best_x_history, second.best_x_history):
@@ -249,13 +253,13 @@ class TestSwarmSearch:
     def test_criterion_7_ce_objective_is_an_auc_proxy(self):
         """With 2e4 samples per evaluation, planning against training CE
         lands within 0.05 mean AUC of planning against AUC directly,
-        over 5 seeds with shared swarm initializations.  The ten searches
-        are independent and run on two worker processes."""
-        runs = [(objective, k) for objective in (OBJECTIVE_CE, OBJECTIVE_AUC) for k in range(5)]
+        over 5 seeds with shared swarm initializations.  A seed's two
+        searches run in lockstep in one call; the five seeds run on two
+        worker processes."""
         with ProcessPoolExecutor(max_workers=2) as pool:
-            values = dict(zip(runs, pool.map(_final_auc, *zip(*runs))))
+            values = list(pool.map(_final_aucs, range(5)))
         finals = {
-            objective: float(np.mean([values[objective, k] for k in range(5)]))
+            objective: float(np.mean([v[objective] for v in values]))
             for objective in (OBJECTIVE_CE, OBJECTIVE_AUC)
         }
         diff = abs(finals[OBJECTIVE_CE] - finals[OBJECTIVE_AUC])

@@ -360,6 +360,27 @@ class TestStackedTrain:
             MLP([np.zeros((3, 4, 2)), np.zeros((2, 1, 4))], [np.zeros((3, 4)), np.zeros((2, 1))])
 
 
+class TestBiasGradient:
+    @pytest.mark.parametrize("rows", [97, 128, 1000])
+    @pytest.mark.parametrize("p", [1, 6, 12, 30])
+    def test_hidden_layer_einsum_matches_sum(self, p, rows):
+        """backward sums a hidden layer's (P, rows, 8) deltas by einsum,
+        which adds in row order as numpy's sum does there, so the bias
+        gradients are sum's bit for bit; a stack's networks still get the
+        gradients they get alone."""
+        rng = np.random.default_rng(p * rows)
+        delta = rng.normal(size=(p, rows, 8))
+        assert np.array_equal(np.einsum("...bo->...o", delta), delta.sum(axis=-2))
+        assert np.array_equal(np.einsum("...bo->...o", delta[0]), delta[0].sum(axis=-2))
+        x = rng.normal(size=(rows, p, 5))
+        t = rng.integers(0, 2, rows)
+        grads_w, grads_b = backward(init_mlp([5, 8, 8, 1], seed=1, copies=p), x, t)
+        for k in range(p):
+            alone_w, alone_b = backward(init_mlp([5, 8, 8, 1], seed=1), x[:, k], t)
+            for stacked, single in zip(grads_w + grads_b, alone_w + alone_b):
+                assert np.array_equal(stacked[k], single)
+
+
 class TestDecide:
     """The verifier's decision rule (1 where the score exceeds lambda, ties
     decide 0), as empirical_roc applies it at every distinct score."""

@@ -293,16 +293,16 @@ class TestEvaluatePlacement:
         score = _score(scenario, [30.0, 70.0], FAST_EVAL)
         for objective, expected in ((OBJECTIVE_CE, score.ce_bits), (OBJECTIVE_AUC, score.auc_value)):
             pso = PsoConfig(n_particles=1, max_iterations=0, objective=objective)
-            result, aucs = plan_placement(scenario, FAST_EVAL, pso, np.random.default_rng(0),
-                                          initial_positions=[[30.0, 70.0]])
+            [(result, aucs)] = plan_placement(scenario, FAST_EVAL, [(pso, np.random.default_rng(0))],
+                                              initial_positions=[[[30.0, 70.0]]])
             assert result.history == [expected]
             assert aucs == [score.auc_value]
         assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
         with pytest.raises(ValueError):
-            plan_placement(DiscRoiScenario(), FAST_EVAL, PsoConfig(objective="f1"),
-                           np.random.default_rng(0))
+            plan_placement(DiscRoiScenario(), FAST_EVAL,
+                           [(PsoConfig(objective="f1"), np.random.default_rng(0))])
 
 
 class TestPlanPlacement:
@@ -328,13 +328,13 @@ class TestPlanPlacement:
             for y in grid
         )
         pso = PsoConfig(n_particles=5, max_iterations=40, stall_iterations=8)
-        result, _ = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(1))
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(1))])
         assert result.best_value <= grid_best * 1.05 + 1e-3
 
     def test_history_monotone(self):
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=4, stall_iterations=2)
-        result, _ = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(2))
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(2))])
         assert all(b <= a for a, b in zip(result.history, result.history[1:]))
 
     def test_fields_drawn_once_per_run(self, monkeypatch):
@@ -349,7 +349,7 @@ class TestPlanPlacement:
         monkeypatch.setattr("irlv.planner.generate_fields", counting)
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
-        result, aucs = plan_placement(scenario, self.GRID_EVAL, pso, np.random.default_rng(5))
+        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(5))])
         assert len(calls) == 1
         assert len(result.particle_values) == 4  # 12 evaluated placements
         assert aucs == [_score(scenario, x, self.GRID_EVAL).auc_value
@@ -370,8 +370,8 @@ class TestPlanPlacement:
         starts = [[-5.0, -5.0], [30.0, 70.0], [-1.0, -20.0]]  # first and last clamp to (0, 0)
         frozen = PsoConfig(n_particles=3, inertia=0.0, c1=0.0, c2=0.0, max_iterations=2,
                            stall_iterations=3)
-        result, aucs = plan_placement(scenario, self.GRID_EVAL, frozen, np.random.default_rng(6),
-                                      initial_positions=starts)
+        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL,
+                                          [(frozen, np.random.default_rng(6))], [starts])
         assert len(evaluated) == 1
         np.testing.assert_array_equal(evaluated[0], [[[0.0, 0.0]], [[30.0, 70.0]]])
         first = result.particle_values[0]
@@ -381,8 +381,9 @@ class TestPlanPlacement:
 
         evaluated.clear()
         moving = PsoConfig(n_particles=4, max_iterations=3, stall_iterations=3)
-        result, _ = plan_placement(scenario, self.GRID_EVAL, moving, np.random.default_rng(7),
-                                   initial_positions=[[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]])
+        [(result, _)] = plan_placement(
+            scenario, self.GRID_EVAL, [(moving, np.random.default_rng(7))],
+            [[[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]]])
         rows = np.concatenate(evaluated).reshape(-1, 2)
         assert len(evaluated) <= len(result.particle_values)
         assert len(rows) == len(np.unique(rows, axis=0)) <= 4 * len(result.particle_values) - 2
@@ -396,7 +397,8 @@ class TestPlanPlacement:
             field_seed=1, dataset_seed=2, init_seed=3,
         )
         pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
-        result, aucs = plan_placement(StreetScenario.default(), cfg, pso, np.random.default_rng(4))
+        [(result, aucs)] = plan_placement(StreetScenario.default(), cfg,
+                                          [(pso, np.random.default_rng(4))])
         assert result.best_x.tolist() == [
             361.44679889744697, 502.71430949679916, 74.08427538609698, 47.31142273563954,
             325.31428755077013, 282.42657073891803, 110.71465159089689, 503.23712531957375,
@@ -420,3 +422,71 @@ class TestPlanPlacement:
         assert result2.particle_values[0][0] == aucs1[-1]
         assert aucs2 == result2.history
         assert 0.0 <= result2.best_value <= aucs1[-1]
+
+
+class TestLockstep:
+    """Searches that share one evaluation config run in lockstep: one
+    field draw, one cache and one stack per sweep, with each search's
+    results bit-identical to running it alone."""
+
+    STREET_EVAL = PlacementEvalConfig(
+        channel=ChannelParams(), s_total=600, n_hidden=4, n_layers=2,
+        train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64, seed=0),
+        field_seed=1, dataset_seed=2, init_seed=3,
+    )
+
+    @staticmethod
+    def _searches(ce, auc_cfg):
+        return [(dataclasses.replace(ce, objective=OBJECTIVE_CE), np.random.default_rng(4)),
+                (dataclasses.replace(auc_cfg, objective=OBJECTIVE_AUC), np.random.default_rng(4))]
+
+    @pytest.mark.parametrize("ce, auc_cfg", [
+        (PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3),) * 2,
+        (PsoConfig(n_particles=3, max_iterations=1, stall_iterations=3),
+         PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)),
+        (PsoConfig(n_particles=3, max_iterations=4, stall_iterations=3),
+         PsoConfig(n_particles=3, max_iterations=4, stall_iterations=1, stall_tolerance=1.0)),
+    ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first"])
+    def test_matches_searches_run_alone(self, ce, auc_cfg):
+        scenario = StreetScenario.default()
+        searches = self._searches(ce, auc_cfg)
+        together = plan_placement(scenario, self.STREET_EVAL, searches)
+        alone = [plan_placement(scenario, self.STREET_EVAL, [search])[0]
+                 for search in self._searches(ce, auc_cfg)]
+        for (r, aucs), (a, alone_aucs) in zip(together, alone):
+            assert r.history == a.history
+            assert np.array_equal(r.best_x, a.best_x)
+            assert all(map(np.array_equal, r.best_x_history, a.best_x_history))
+            assert len(r.best_x_history) == len(a.best_x_history)
+            assert r.particle_values == a.particle_values
+            assert (r.n_iterations, r.converged) == (a.n_iterations, a.converged)
+            assert aucs == alone_aucs
+        if ce != auc_cfg:  # one search left the loop before the other
+            assert together[0][0].n_iterations != together[1][0].n_iterations
+
+    def test_shared_first_sweep_trained_once(self, monkeypatch):
+        """Both searches start from the same swarm, so the first call
+        trains its placements once; every distinct placement of either
+        search is trained once, in one call per sweep."""
+        evaluated, scores = [], []
+
+        def spy(*args):
+            evaluated.append(np.array(args[3]))
+            scores.append(evaluate_placement(*args))
+            return scores[-1]
+
+        monkeypatch.setattr("irlv.planner.evaluate_placement", spy)
+        pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
+        (ce_run, _), (auc_run, _) = plan_placement(
+            StreetScenario.default(), self.STREET_EVAL, self._searches(pso, pso))
+        assert [len(e) for e in evaluated] == [3, 6, 6]  # one shared sweep, then both swarms
+        rows = np.concatenate(evaluated).reshape(15, -1)
+        assert len(np.unique(rows, axis=0)) == 15
+        assert ce_run.particle_values[0] == [s.ce_bits for s in scores[0]]
+        assert auc_run.particle_values[0] == [s.auc_value for s in scores[0]]
+
+
+def test_run_pso_rejects_wrong_objective_shape():
+    with pytest.raises(ValueError, match=r"returned shape \(2,\) for 3 particles"):
+        run_pso(lambda x: np.zeros(2), BOUNDS, 2, PsoConfig(n_particles=3),
+                np.random.default_rng(0))
