@@ -294,19 +294,16 @@ def generate_fields(scenario, params: ChannelParams, base_seed: int) -> list[Sha
     ]
 
 
-def attenuation_matrix(scenario, fields, params: ChannelParams, xy: np.ndarray) -> np.ndarray:
-    """Attenuation vectors in dB for (n, 2) positions; shape (n, n_bs).
-
-    fields may be None for a shadowing-free channel.
-    """
+def attenuation_matrix(scenario, params: ChannelParams, xy: np.ndarray, placement) -> np.ndarray:
+    """Path loss in dB from (n, 2) positions to the base stations of an
+    (n_bs, 2) placement; shape (n, n_bs).  Shadowing does not depend on the
+    placement, so callers add it once for all (see shadowing_matrix)."""
     xy = np.asarray(xy, dtype=float)
-    out = np.empty((xy.shape[0], scenario.n_bs))
-    for n, bs in enumerate(scenario.bs_positions):
-        d = np.hypot(xy[:, 0] - bs.x, xy[:, 1] - bs.y)
-        los = scenario.los_mask(xy, n)
+    out = np.empty((xy.shape[0], len(placement)))
+    for n, bs in enumerate(placement):
+        d = np.hypot(xy[:, 0] - bs[0], xy[:, 1] - bs[1])
+        los = scenario.los_mask(xy, bs)
         out[:, n] = np.where(los, path_loss_los_db(d, params), path_loss_nlos_db(d, params))
-    if fields is not None:
-        out += shadowing_matrix(scenario, fields, xy)
     return out
 
 

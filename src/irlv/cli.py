@@ -85,7 +85,8 @@ def _task_config(cfg: RunConfig, seeds: Seeds, **overrides) -> PlacementEvalConf
 def _evaluate_task(scenario, cfg: PlacementEvalConfig):
     """Score the scenario's placement on fields drawn for this task alone
     (inside the job, so no task holds another task's fields)."""
-    return evaluate_placement(scenario, generate_fields(scenario, cfg.channel, cfg.field_seed), cfg)[0]
+    fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
+    return evaluate_placement(scenario, fields, cfg, np.array([scenario.bs_positions]))[0]
 
 
 def cmd_roc(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:

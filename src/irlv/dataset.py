@@ -1,14 +1,12 @@
 """Labeled attenuation datasets: synthesis, splitting, feature standardization.
 
-A dataset row associates an attenuation vector (one dB value per base
-station) with the binary region label of the position it was measured at:
-0 inside the region of interest, 1 outside.  Positions are kept alongside
-for diagnostics only; verifiers never see them.
-
-A row may also hold one attenuation vector per base-station placement,
-features (n, P, n_bs) with the row axis first, so that P placements share
-the positions and labels.  Splitting and standardization act on the row
-axis and so handle both shapes alike; the statistics are per placement.
+A dataset row associates attenuation vectors (one dB value per base
+station) with the binary region label of the position they were measured
+at: 0 inside the region of interest, 1 outside.  A row holds one vector
+per base-station placement, features (n, P, n_bs) with the row axis first,
+so that P placements share the positions and labels; a single placement
+is P = 1.  Splitting and standardization act on the row axis; the
+statistics are per placement.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ class NormalizationStats:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n, n_bs), or (n, P, n_bs) for P placements, with
-    labels (n,) and source positions (n, 2).
+    """Features (n, P, n_bs) for P placements with labels (n,).
 
     stats is None for raw dB features and carries the training-set
     standardization once normalize() has been applied.
@@ -46,61 +43,52 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    positions: np.ndarray
     stats: NormalizationStats | None = None
 
     def __post_init__(self):
-        if self.features.ndim not in (2, 3) or len(self.features) == 0:
-            raise ValueError("dataset must hold nonempty (n, n_bs) or (n, P, n_bs) features")
-        if len(self.labels) != len(self.features) or len(self.positions) != len(self.features):
-            raise ValueError("features, labels, and positions must align")
+        if self.features.ndim != 3 or len(self.features) == 0:
+            raise ValueError("dataset must hold nonempty (n, P, n_bs) features")
+        if len(self.labels) != len(self.features):
+            raise ValueError("features and labels must align")
 
     def __len__(self) -> int:
         return len(self.features)
 
-    def class_counts(self) -> tuple[int, int]:
-        n1 = int(self.labels.sum())
-        return len(self) - n1, n1
-
 
 def generate_dataset(scenario, fields, params, s_total: int, p0: float,
-                     rng: np.random.Generator, placements=None) -> Dataset:
-    """Synthesize s_total labeled attenuation vectors.
+                     rng: np.random.Generator, placements) -> Dataset:
+    """Synthesize s_total labeled attenuation vectors per placement.
 
     floor(p0 * s_total) positions are drawn uniformly inside the ROI
     (label 0) and the remainder uniformly outside it (label 1); row order
     is then shuffled.  The draws depend on the map and the ROI alone, so
-    placements, a (P, n_bs, 2) array of base-station positions, gets one
-    attenuation matrix per placement over the same rows: features
-    (s_total, P, n_bs), with the shadowing interpolated once for all.
+    placements, a (P, n_bs, 2) array of base-station positions on the map,
+    gets one attenuation matrix per placement over the same rows: features
+    (s_total, P, n_bs), with the shadowing interpolated once for all
+    (fields None for none).
     """
+    placements = np.asarray(placements, dtype=float)
+    if placements.ndim != 3 or placements.shape[1:] != (scenario.n_bs, 2) or not len(placements):
+        raise ValueError(f"placements must be a (P, {scenario.n_bs}, 2) array with P >= 1, "
+                         f"got shape {placements.shape}")
+    if not np.all(scenario.contains(placements[..., 0], placements[..., 1])):
+        raise ValueError("placements: a base station lies outside the map")
     if s_total < 2:
         raise ValueError("need at least two samples")
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must lie strictly between 0 and 1")
     n0 = int(np.floor(p0 * s_total))
-    n1 = s_total - n0
-    parts = []
-    labels = []
-    if n0:
-        parts.append(scenario.sample_region(REGION_INSIDE, rng, n0))
-        labels.append(np.zeros(n0, dtype=np.int64))
-    if n1:
-        parts.append(scenario.sample_region(REGION_OUTSIDE, rng, n1))
-        labels.append(np.ones(n1, dtype=np.int64))
-    xy = np.concatenate(parts)
-    t = np.concatenate(labels)
+    xy = np.concatenate([scenario.sample_region(REGION_INSIDE, rng, n0),
+                         scenario.sample_region(REGION_OUTSIDE, rng, s_total - n0)])
+    t = np.repeat(np.array([0, 1], dtype=np.int64), [n0, s_total - n0])
     order = rng.permutation(s_total)
     xy, t = xy[order], t[order]
-    if placements is None:
-        a = attenuation_matrix(scenario, fields, params, xy)
-    else:
-        a = np.empty((s_total, len(placements), scenario.n_bs))
-        for k, p in enumerate(placements):
-            a[:, k] = attenuation_matrix(scenario.with_bs_positions(p), None, params, xy)
-        if fields is not None:  # interpolated once for every placement
-            a += shadowing_matrix(scenario, fields, xy)[:, None]
-    return Dataset(features=a, labels=t, positions=xy)
+    a = np.empty((s_total, len(placements), scenario.n_bs))
+    for k, p in enumerate(placements):
+        a[:, k] = attenuation_matrix(scenario, params, xy, p)
+    if fields is not None:  # interpolated once for every placement
+        a += shadowing_matrix(scenario, fields, xy)[:, None]
+    return Dataset(features=a, labels=t)
 
 
 def split(dataset: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
@@ -114,7 +102,6 @@ def split(dataset: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
         return Dataset(
             features=dataset.features[sl],
             labels=dataset.labels[sl],
-            positions=dataset.positions[sl],
             stats=dataset.stats,
         )
     return take(slice(None, n_train)), take(slice(n_train, None))
@@ -131,13 +118,11 @@ def normalize(dataset: Dataset, stats: NormalizationStats | None = None) -> Data
         std = dataset.features.std(axis=0)
         zero = np.argwhere(std == 0.0)
         if zero.size:
-            *placement, feature = zero[0].tolist()
-            where = f" of placement {placement[0]}" if placement else ""
-            raise NumericError(f"feature {feature}{where} has zero variance")
+            placement, feature = zero[0].tolist()
+            raise NumericError(f"feature {feature} of placement {placement} has zero variance")
         stats = NormalizationStats(mean=mean, std=std)
     return Dataset(
         features=stats.apply(dataset.features),
         labels=dataset.labels,
-        positions=dataset.positions,
         stats=stats,
     )

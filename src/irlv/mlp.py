@@ -10,14 +10,13 @@ cross-entropy in bits,
 
 so all gradients carry a 1/ln2 factor.
 
-An MLP may also be a stack of P networks of the same shape, one per
-feature set over the same rows: weights (P, n_out, n_in), features
-(n, P, n_in) with the row axis first.  forward, backward and train take
-either, always as a batch of rows.  A stack's products are batched
+An MLP is a stack of P networks of the same shape, one per feature set
+over the same rows: weights (P, n_out, n_in), features (n, P, n_in) with
+the row axis first; a single network is the stack of one.  forward,
+backward and train take a batch of rows.  The products are batched
 matmuls over the leading P axis, which numpy runs as one 2-D BLAS product
-per network with the shapes of the single network's products, so each
-network of a stack scores and trains bit-identical to the network alone;
-a single network is the unstacked case of the same code.
+per network, so each network of a stack scores and trains bit-identical
+to the network alone.
 
 The sigmoid is 1/(1 + exp(-z)) on numpy's own exp, computed in place.
 """
@@ -42,8 +41,8 @@ class TrainingDivergedError(NumericError):
 
 @dataclass
 class MLP:
-    """Weights W[l] of shape (n_out, n_in) and biases b[l] of shape (n_out,),
-    or (P, n_out, n_in) and (P, n_out) for a stack of P networks."""
+    """Weights W[l] of shape (P, n_out, n_in) and biases b[l] of shape
+    (P, n_out) for a stack of P networks."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -52,9 +51,9 @@ class MLP:
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError("need one bias vector per weight matrix")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
+            if w.ndim != 3 or b.shape != w.shape[:-1]:
                 raise ValueError(f"layer {l}: bias shape does not match weight rows")
-            if w.shape[:-2] != self.stack_shape:
+            if len(w) != self.n_networks:
                 raise ValueError(f"layer {l}: stack size differs from layer 0")
             if l and w.shape[-1] != self.weights[l - 1].shape[-2]:
                 raise ValueError(f"layer {l}: input width does not match previous layer")
@@ -70,9 +69,8 @@ class MLP:
         return self.weights[0].shape[-1]
 
     @property
-    def stack_shape(self) -> tuple[int, ...]:
-        """() for a single network, (P,) for a stack of P."""
-        return self.weights[0].shape[:-2]
+    def n_networks(self) -> int:
+        return len(self.weights[0])
 
 
 def default_layer_sizes(n_inputs: int, n_hidden: int, n_layers: int) -> list[int]:
@@ -82,33 +80,31 @@ def default_layer_sizes(n_inputs: int, n_hidden: int, n_layers: int) -> list[int
     return [n_inputs] + [n_hidden] * (n_layers - 1) + [1]
 
 
-def init_mlp(layer_sizes, seed: int, copies: int | None = None) -> MLP:
+def init_mlp(layer_sizes, seed: int, copies: int = 1) -> MLP:
     """Uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases.
 
-    copies=P returns a stack of P networks that all start from this draw.
+    Returns a stack of copies networks that all start from this draw.
     """
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ValueError(f"invalid layer sizes: {sizes}")
     if sizes[-1] != 1:
         raise ValueError("the output layer must hold a single neuron")
-    if copies is not None and copies < 1:
+    if copies < 1:
         raise ValueError("a stack needs at least one network")
-    stack = () if copies is None else (copies,)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         s = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(np.tile(rng.uniform(-s, s, size=(fan_out, fan_in)), stack + (1, 1)))
-        biases.append(np.zeros(stack + (fan_out,)))
+        weights.append(np.tile(rng.uniform(-s, s, size=(fan_out, fan_in)), (copies, 1, 1)))
+        biases.append(np.zeros((copies, fan_out)))
     return MLP(weights, biases)
 
 
 def _check_batch(mlp: MLP, x: np.ndarray) -> None:
-    """Features must be (n, n_inputs), or (n, P, n_inputs) for a stack of P."""
-    expected = mlp.stack_shape + (mlp.n_inputs,)
-    if x.shape[1:] != expected:
-        raise ValueError(f"expected features of shape (n, {', '.join(map(str, expected))}), "
+    """Features must be (n, P, n_inputs) for a stack of P."""
+    if x.shape[1:] != (mlp.n_networks, mlp.n_inputs):
+        raise ValueError(f"expected features of shape (n, {mlp.n_networks}, {mlp.n_inputs}), "
                          f"got {x.shape}")
 
 
@@ -122,24 +118,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def _forward_all(mlp: MLP, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer, input included, for a (n, n_inputs) batch or
-    a stack's network-major (P, n, n_inputs) batch."""
-    ys = [x]
+def _forward_all(mlp: MLP, x: np.ndarray):
+    """Each layer's activations in turn, input first, for a network-major
+    (P, n, n_inputs) batch; a layer is dropped once the caller moves on."""
+    yield x
     for w, b in zip(mlp.weights, mlp.biases):
-        z = ys[-1] @ w.mT
-        z += b[..., None, :]
-        ys.append(_sigmoid(z))
-    return ys
+        x = x @ w.mT
+        x += b[:, None, :]
+        yield _sigmoid(x)
 
 
 def forward(mlp: MLP, a) -> np.ndarray:
-    """Scores t~ in (0, 1): (n,) for (n, n_inputs) rows, (n, P) for a
-    stack's (n, P, n_inputs) rows."""
+    """Scores t~ in (0, 1), (n, P) for (n, P, n_inputs) rows."""
     x = np.asarray(a, dtype=float)
     _check_batch(mlp, x)
     with np.errstate(over="ignore"):
-        return _forward_all(mlp, x.swapaxes(0, -2))[-1][..., 0].T
+        for y in _forward_all(mlp, x.swapaxes(0, 1)):
+            pass
+    return y[..., 0].T
 
 
 def ce_loss(scores, labels) -> float:
@@ -156,11 +152,11 @@ def backward(mlp: MLP, features: np.ndarray, labels) -> tuple[list[np.ndarray], 
     shaped like the parameters; a stack's networks share the labels."""
     t = np.asarray(labels, dtype=float)
     x = np.asarray(features, dtype=float)
-    if x.ndim < 2 or len(x) == 0 or len(t) != len(x):
-        raise ValueError("need a nonempty aligned batch")
     _check_batch(mlp, x)
+    if len(x) == 0 or len(t) != len(x):
+        raise ValueError("need a nonempty aligned batch")
     n = len(x)
-    ys = _forward_all(mlp, x.swapaxes(0, -2))  # network-major view of a stack's batch
+    ys = list(_forward_all(mlp, x.swapaxes(0, 1)))  # network-major view of the batch
     # output layer: d(loss)/d(pre-activation) of the single sigmoid output
     delta = (ys[-1] - t[:, None]) / (n * LN2)
     grads_w = [np.empty(0)] * mlp.n_layers
@@ -169,7 +165,7 @@ def backward(mlp: MLP, features: np.ndarray, labels) -> tuple[list[np.ndarray], 
         grads_w[l] = delta.mT @ ys[l]
         # einsum adds rows in order, as sum does rows wider than one, without
         # sum's slow strided loop over a stack; sum adds a column pairwise
-        grads_b[l] = np.einsum("...bo->...o", delta) if delta.shape[-1] > 1 else delta.sum(axis=-2)
+        grads_b[l] = np.einsum("pbo->po", delta) if delta.shape[-1] > 1 else delta.sum(axis=1)
         if l:
             y = ys[l]
             delta = (delta @ mlp.weights[l]) * y * (1.0 - y)
@@ -194,20 +190,18 @@ class TrainConfig:
 
 def _raise_if_diverged(finite: np.ndarray, epoch: int) -> None:
     """TrainingDivergedError naming the networks whose flag is False."""
-    if np.all(finite):
-        return
-    where = (f"networks {np.flatnonzero(~finite).tolist()} of {finite.size}" if finite.ndim
-             else "the network")
-    raise TrainingDivergedError(f"training diverged: {where} not finite after epoch {epoch}")
+    if not np.all(finite):
+        raise TrainingDivergedError(f"training diverged: networks {np.flatnonzero(~finite).tolist()}"
+                                    f" of {finite.size} not finite after epoch {epoch}")
 
 
-def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float | np.ndarray]:
+def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, np.ndarray]:
     """Mini-batch gradient descent on a normalized dataset, in place.
 
     A stack trains in lockstep on (n, P, n_inputs) features: every network
     sees the same labels and the same mini-batch order.  Returns the
-    trained network and its final full-set cross-entropy in bits, a float
-    or a (P,) array for a stack.  Raises TrainingDivergedError, naming
+    trained stack and its networks' final full-set cross-entropies in
+    bits, a (P,) array.  Raises TrainingDivergedError, naming
     the networks and the epoch, when parameters or the loss stop being
     finite.
     """
@@ -228,10 +222,9 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, float | np.nda
                     b -= config.learning_rate * gb
             _raise_if_diverged(np.logical_and.reduce(
                 [np.isfinite(w).all(axis=(-2, -1)) for w in mlp.weights]), epoch)
-    scores = forward(mlp, x).reshape(n, -1)
-    final_ce = np.array([ce_loss(s, t) for s in scores.T]).reshape(mlp.stack_shape)
+    final_ce = np.array([ce_loss(s, t) for s in forward(mlp, x).T])
     _raise_if_diverged(np.isfinite(final_ce), config.epochs)
-    return mlp, float(final_ce) if final_ce.ndim == 0 else final_ce
+    return mlp, final_ce
 
 
 def posterior_from_llr(llr_bits, prior0: float, prior1: float):

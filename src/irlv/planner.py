@@ -6,7 +6,7 @@ evaluate_placement is the one generate/train/score pipeline: it
 synthesizes data for a set of placements, trains one verifier network per
 placement, and reports each network's final training cross-entropy (cheap
 proxy) and its test ROC and AUC.  The roc and np-compare commands call it
-with the scenario's own placement.
+with the scenario's own placement, a stack of one.
 
 Seeds for fields, data, and network init stay constant for the whole run,
 so every particle in every iteration faces the same noise realization and
@@ -181,13 +181,12 @@ class PlacementScore:
 
 
 def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
-                       placements=None) -> list[PlacementScore]:
+                       placements) -> list[PlacementScore]:
     """Train a verifier net per base-station placement and score each:
     final training CE in bits, test ROC and its AUC.
 
-    placements is a (P, n_bs, 2) array of positions on the scenario's map;
-    None scores the scenario's own placement with a single network.  The
-    rows are drawn once for all placements, each placement gets its own
+    placements is a (P, n_bs, 2) array of positions on the scenario's map.
+    The rows are drawn once for all placements, each placement gets its own
     attenuation features and standardization, and the P networks train as
     one stack.  fields holds one shadowing map per base station (None for
     none); they depend only on the map bounds, the base-station count and
@@ -203,12 +202,10 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
     test_n = normalize(test_set, train_n.stats)
     del train_set, test_set  # free the raw features before training: P times a network's
     sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
-    mlp = init_mlp(sizes, cfg.init_seed, None if placements is None else len(placements))
-    mlp, ce = train(mlp, train_n, cfg.train)
-    scores = forward(mlp, test_n.features).reshape(len(test_n), -1)
-    rocs = [empirical_roc(s, test_n.labels) for s in scores.T]
+    mlp, ce = train(init_mlp(sizes, cfg.init_seed, len(placements)), train_n, cfg.train)
+    rocs = [empirical_roc(s, test_n.labels) for s in forward(mlp, test_n.features).T]
     return [PlacementScore(ce_bits=float(c), auc_value=auc(roc), roc=roc)
-            for c, roc in zip(np.atleast_1d(ce), rocs)]
+            for c, roc in zip(ce, rocs)]
 
 
 def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positions=None

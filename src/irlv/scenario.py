@@ -17,7 +17,6 @@ in the ROI, label 1 means it is in the complement.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -190,8 +189,8 @@ class StreetScenario:
 
     sample_region = _sample_region
 
-    def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:
-        """LOS indicator for (n, 2) positions towards one base station.
+    def los_mask(self, xy: np.ndarray, bs) -> np.ndarray:
+        """LOS indicator for (n, 2) positions towards a base station at bs = (x, y).
 
         A position is LOS iff it lies in a street rectangle that also
         contains the base station; the center base station belongs to both
@@ -199,19 +198,12 @@ class StreetScenario:
         street (e.g. a candidate placement inside a building) is NLOS to
         every position.
         """
-        if not 0 <= bs_index < self.n_bs:
-            raise IndexError(f"bs_index {bs_index} out of range")
-        bs = self.bs_positions[bs_index]
         xy = np.asarray(xy, dtype=float)
         mask = np.zeros(xy.shape[0], dtype=bool)
         for street in self.streets:
-            if street.contains(bs.x, bs.y):
+            if street.contains(bs[0], bs[1]):
                 mask |= street.contains(xy[:, 0], xy[:, 1])
         return mask
-
-    def with_bs_positions(self, positions) -> "StreetScenario":
-        """Same geometry with replaced base-station placements (may be off-street)."""
-        return dataclasses.replace(self, bs_positions=tuple(Position(float(p[0]), float(p[1])) for p in positions))
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,5 @@ class CircularScenario:
 
     sample_region = _sample_region
 
-    def los_mask(self, xy: np.ndarray, bs_index: int) -> np.ndarray:
-        if bs_index != 0:
-            raise IndexError(f"bs_index {bs_index} out of range")
+    def los_mask(self, xy: np.ndarray, bs) -> np.ndarray:
         return np.ones(np.asarray(xy).shape[0], dtype=bool)

@@ -43,13 +43,13 @@ def circular_run():
     scored on an independent 1e4-sample evaluation set."""
     scenario = CircularScenario.default()
     params = ChannelParams(sigma_s_db=0.0)
-    ds = generate_dataset(scenario, None, params, 20_000, 0.5, np.random.default_rng(1))
+    own = np.array([scenario.bs_positions])  # a single placement: a stack of one
+    ds = generate_dataset(scenario, None, params, 20_000, 0.5, np.random.default_rng(1), own)
     train_set, _ = split(ds, 0.7)
     train_n = normalize(train_set)
-    n0, n1 = train_set.class_counts()
-    p0 = n0 / (n0 + n1)
+    p0 = float(np.mean(train_set.labels == 0))
 
-    eval_ds = generate_dataset(scenario, None, params, 10_000, 0.5, np.random.default_rng(42))
+    eval_ds = generate_dataset(scenario, None, params, 10_000, 0.5, np.random.default_rng(42), own)
     eval_n = normalize(eval_ds, train_n.stats)
 
     net = init_mlp(default_layer_sizes(1, 8, 3), 2)
@@ -60,9 +60,9 @@ def circular_run():
         scenario=scenario,
         params=params,
         priors=(p0, 1.0 - p0),
-        attenuations=eval_ds.features[:, 0],
+        attenuations=eval_ds.features[:, 0, 0],
         labels=eval_n.labels,
-        scores=forward(net, eval_n.features),
+        scores=forward(net, eval_n.features)[:, 0],
     )
 
 
@@ -112,9 +112,9 @@ def _fd_gradients(net: MLP, feats, labels, h=1e-5):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                hi = ce_loss(forward(net, feats), labels)
+                hi = ce_loss(forward(net, feats)[:, 0], labels)
                 flat[i] = orig - h
-                lo = ce_loss(forward(net, feats), labels)
+                lo = ce_loss(forward(net, feats)[:, 0], labels)
                 flat[i] = orig
                 gf[i] = (hi - lo) / (2.0 * h)
     return grads_w, grads_b
@@ -130,7 +130,7 @@ class TestGradients:
             hidden = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(0, 3)))]
             sizes = [n_in] + hidden + [1]
             net = init_mlp(sizes, seed=trial)
-            feats = rng.normal(size=(6, n_in))
+            feats = rng.normal(size=(6, 1, n_in))  # a stack of one network
             labels = rng.integers(0, 2, size=6).astype(float)
             gw, gb = backward(net, feats, labels)
             fw, fb = _fd_gradients(net, feats, labels)
@@ -169,7 +169,7 @@ def _street_auc(n_hidden: int, s_total: int, k: int) -> float:
     params = ChannelParams()
     fields = generate_fields(scenario, params, 100 + k)
     ds = generate_dataset(scenario, fields, params, s_total, 0.5,
-                          np.random.default_rng(1000 + k))
+                          np.random.default_rng(1000 + k), np.array([scenario.bs_positions]))
     train_set, test_set = split(ds, 0.7)
     train_n = normalize(train_set)
     test_n = normalize(test_set, train_n.stats)
@@ -177,7 +177,7 @@ def _street_auc(n_hidden: int, s_total: int, k: int) -> float:
     net, _ = train(net, train_n, TrainConfig(
         learning_rate=0.2, epochs=300, batch_size=128, seed=2000 + k,
     ))
-    return auc(empirical_roc(forward(net, test_n.features), test_n.labels))
+    return auc(empirical_roc(forward(net, test_n.features)[:, 0], test_n.labels))
 
 
 class TestCapacityAndDataTrends:

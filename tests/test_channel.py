@@ -23,6 +23,7 @@ from irlv.channel import (
     path_loss_los_db,
     path_loss_nlos_db,
     save_field,
+    shadowing_matrix,
 )
 from irlv.scenario import CircularScenario, Position, StreetScenario
 
@@ -31,8 +32,11 @@ PARAMS = ChannelParams()
 
 
 def _attenuation_at(scenario, fields, params, pos) -> np.ndarray:
-    """Attenuation from one position: a one-row attenuation_matrix."""
-    return attenuation_matrix(scenario, fields, params, np.array([pos], dtype=float))[0]
+    """Attenuation from one position to the scenario's own placement: a
+    one-row attenuation_matrix plus the shadowing (fields None for none)."""
+    xy = np.array([pos], dtype=float)
+    a = attenuation_matrix(scenario, params, xy, scenario.bs_positions)[0]
+    return a if fields is None else a + shadowing_matrix(scenario, fields, xy)[0]
 
 
 class TestChannelParams:
@@ -432,10 +436,24 @@ class TestAttenuation:
     def test_los_nlos_switch_follows_street_rule(self):
         s = StreetScenario.default()
         roi_pt = np.array([[191.25, 191.25]])  # inside a building: NLOS to all
-        a = attenuation_matrix(s, None, PARAMS, roi_pt)[0]
+        a = attenuation_matrix(s, PARAMS, roi_pt, s.bs_positions)[0]
         for n, bs in enumerate(s.bs_positions):
             d = math.hypot(191.25 - bs.x, 191.25 - bs.y)
             np.testing.assert_allclose(a[n], path_loss_nlos_db(d, PARAMS), rtol=1e-12)
+
+    def test_placement_sets_the_base_stations(self):
+        """The placement, not the scenario's own stations, sets distances and
+        LOS: a station moved into a building is NLOS to a street point."""
+        s = StreetScenario.default()
+        ue = np.array([[500.0, 262.5]])  # east arm of the horizontal street
+        placement = np.array(s.bs_positions)
+        placement[0] = (50.0, 50.0)
+        moved = attenuation_matrix(s, PARAMS, ue, placement)[0]
+        own = attenuation_matrix(s, PARAMS, ue, s.bs_positions)[0]
+        np.testing.assert_array_equal(moved[1:], own[1:])
+        d = math.hypot(500.0 - 50.0, 262.5 - 50.0)
+        assert moved[0] == path_loss_nlos_db(d, PARAMS)
+        assert own[0] == path_loss_los_db(500.0 - 127.5, PARAMS)
 
     def test_shadowing_offset_is_the_field_value(self):
         s = CircularScenario.default()
@@ -451,7 +469,7 @@ class TestAttenuation:
         fields = generate_fields(s, PARAMS, base_seed=3)
         rng = np.random.default_rng(8)
         xy = rng.uniform(0.0, s.map_side, size=(40, 2))
-        mat = attenuation_matrix(s, fields, PARAMS, xy)
+        mat = attenuation_matrix(s, PARAMS, xy, s.bs_positions) + shadowing_matrix(s, fields, xy)
         assert mat.shape == (40, 5)
         for k in (0, 17, 39):
             np.testing.assert_allclose(mat[k], _attenuation_at(s, fields, PARAMS, xy[k]))
@@ -460,10 +478,10 @@ class TestAttenuation:
         s = StreetScenario.default()
         fields = generate_fields(s, PARAMS, base_seed=3)[:2]
         with pytest.raises(ValueError):
-            attenuation_matrix(s, fields, PARAMS, np.array([[10.0, 10.0]]))
+            shadowing_matrix(s, fields, np.array([[10.0, 10.0]]))
 
     def test_attenuation_grows_with_distance_los(self):
         c = CircularScenario.default()
         xy = np.column_stack([np.linspace(1.0, 39.0, 30), np.zeros(30)])
-        a = attenuation_matrix(c, None, PARAMS, xy)[:, 0]
+        a = attenuation_matrix(c, PARAMS, xy, c.bs_positions)[:, 0]
         assert np.all(np.diff(a) > 0)

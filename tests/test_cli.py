@@ -312,7 +312,7 @@ class TestExitCodes:
 
     def test_degenerate_data_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
-            raise NumericError("feature 0 has zero variance")
+            raise NumericError("feature 0 of placement 0 has zero variance")
 
         monkeypatch.setattr("irlv.planner.normalize", degenerate)
         cfg = write_cfg(tmp_path, CIRCULAR)

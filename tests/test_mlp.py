@@ -1,6 +1,7 @@
 """Network tests: forward algebra, loss, gradient oracle, training, posteriors."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,12 @@ from irlv.mlp import (
 
 
 def _as_dataset(x, t):
-    return Dataset(np.asarray(x, float), np.asarray(t, np.int64), np.zeros((len(x), 2)))
+    return Dataset(np.asarray(x, float), np.asarray(t, np.int64))
+
+
+def _one(x):
+    """(n, d) rows as the features of a stack of one, (n, 1, d)."""
+    return np.asarray(x, float)[:, None, :]
 
 
 class TestInit:
@@ -49,8 +55,14 @@ class TestInit:
 
     def test_shapes(self):
         mlp = init_mlp([5, 8, 8, 1], seed=0)
-        assert [w.shape for w in mlp.weights] == [(8, 5), (8, 8), (1, 8)]
-        assert mlp.n_layers == 3
+        assert [w.shape for w in mlp.weights] == [(1, 8, 5), (1, 8, 8), (1, 1, 8)]
+        assert [b.shape for b in mlp.biases] == [(1, 8), (1, 8), (1, 1)]
+        assert (mlp.n_layers, mlp.n_networks) == (3, 1)
+        stack = init_mlp([5, 8, 8, 1], seed=0, copies=4)
+        assert [w.shape for w in stack.weights] == [(4, 8, 5), (4, 8, 8), (4, 1, 8)]
+        assert stack.n_networks == 4
+        for w, w1 in zip(stack.weights, mlp.weights):
+            assert np.array_equal(w, np.repeat(w1, 4, axis=0))
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -59,85 +71,106 @@ class TestInit:
             init_mlp([5, 0, 1], seed=0)
         with pytest.raises(ValueError):
             init_mlp([5, 8, 2], seed=0)
+        with pytest.raises(ValueError, match="at least one network"):
+            init_mlp([5, 8, 1], seed=0, copies=0)
 
     def test_inconsistent_mlp_rejected(self):
-        with pytest.raises(ValueError):
-            MLP([np.zeros((8, 5)), np.zeros((1, 7))], [np.zeros(8), np.zeros(1)])
-        with pytest.raises(ValueError):
-            MLP([np.full((1, 2), np.nan)], [np.zeros(1)])
+        with pytest.raises(ValueError, match="input width"):
+            MLP([np.zeros((1, 8, 5)), np.zeros((1, 1, 7))], [np.zeros((1, 8)), np.zeros((1, 1))])
+        with pytest.raises(ValueError, match="non-finite"):
+            MLP([np.full((1, 1, 2), np.nan)], [np.zeros((1, 1))])
+        with pytest.raises(ValueError, match="bias shape"):  # a network is a stack of one
+            MLP([np.zeros((1, 2))], [np.zeros(1)])
 
 
 class TestForward:
     def test_zero_parameters_give_half(self):
-        mlp = MLP([np.zeros((8, 5)), np.zeros((1, 8))], [np.zeros(8), np.zeros(1)])
-        assert np.all(forward(mlp, np.stack([np.zeros(5), np.ones(5)])) == 0.5)
+        mlp = MLP([np.zeros((1, 8, 5)), np.zeros((1, 1, 8))], [np.zeros((1, 8)), np.zeros((1, 1))])
+        out = forward(mlp, _one([np.zeros(5), np.ones(5)]))
+        assert out.shape == (2, 1) and np.all(out == 0.5)
 
     def test_single_weight_is_plain_sigmoid(self):
         """A [1, 1] network computes sigma(w*a + b)."""
         w = 0.73
-        mlp = MLP([np.array([[w]])], [np.array([0.0])])
+        mlp = MLP([np.array([[[w]]])], [np.array([[0.0]])])
         for a in (-2.0, 0.0, 1.5):
             expected = 1.0 / (1.0 + math.exp(-w * a))
-            np.testing.assert_allclose(forward(mlp, [[a]]), [expected], rtol=1e-12)
+            np.testing.assert_allclose(forward(mlp, [[[a]]]), [[expected]], rtol=1e-12)
 
     def test_two_layer_hand_composition(self):
         """[1, 1, 1] network equals sigma(w2*sigma(w1*a + b1) + b2)."""
         mlp = MLP(
-            [np.array([[2.0]]), np.array([[-1.5]])],
-            [np.array([0.25]), np.array([0.5])],
+            [np.array([[[2.0]]]), np.array([[[-1.5]]])],
+            [np.array([[0.25]]), np.array([[0.5]])],
         )
         a = 0.8
         h = 1.0 / (1.0 + math.exp(-(2.0 * a + 0.25)))
         expected = 1.0 / (1.0 + math.exp(-(-1.5 * h + 0.5)))
-        np.testing.assert_allclose(forward(mlp, [[a]]), [expected], rtol=1e-12)
+        np.testing.assert_allclose(forward(mlp, [[[a]]]), [[expected]], rtol=1e-12)
 
     def test_output_in_open_interval(self):
         rng = np.random.default_rng(42)
         mlp = init_mlp([5, 8, 8, 1], seed=1)
-        x = rng.normal(size=(500, 5))
+        x = rng.normal(size=(500, 1, 5))
         s = forward(mlp, x)
         assert np.all((s > 0.0) & (s < 1.0))
 
     def test_batch_matches_single(self):
         mlp = init_mlp([4, 6, 1], seed=2)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(10, 4))
+        x = rng.normal(size=(10, 1, 4))
         batch = forward(mlp, x)
-        assert batch.shape == (10,)
+        assert batch.shape == (10, 1)
         np.testing.assert_allclose(batch, [forward(mlp, row[None])[0] for row in x], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         mlp = init_mlp([4, 6, 1], seed=2)
         with pytest.raises(ValueError):
-            forward(mlp, np.zeros((3, 5)))
+            forward(mlp, np.zeros((3, 1, 5)))
         with pytest.raises(ValueError, match="shape"):
-            forward(mlp, np.zeros(4))  # a single vector must come as a (1, 4) batch
+            forward(mlp, np.zeros((3, 4)))  # rows must name the network: (3, 1, 4)
+        with pytest.raises(ValueError, match="shape"):
+            forward(mlp, np.zeros(4))  # a single vector must come as a (1, 1, 4) batch
+
+    def test_holds_one_layer_at_a_time(self):
+        """forward drops each layer once the next is computed, so on four
+        hidden layers its peak stays below three layers' worth of memory."""
+        mlp = init_mlp([5, 8, 8, 8, 8, 1], seed=0, copies=4)
+        x = np.random.default_rng(0).standard_normal((2000, 4, 5))
+        forward(mlp, x)
+        tracemalloc.start()
+        try:
+            forward(mlp, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x[..., 0].size * 8 * 8  # (P, n, 8) float64 layers
 
 
 def _identity_net() -> MLP:
     """One sigmoid neuron with weight 1 and bias 0: forward is the sigmoid."""
-    return MLP([np.ones((1, 1))], [np.zeros(1)])
+    return MLP([np.ones((1, 1, 1))], [np.zeros((1, 1))])
 
 
 class TestSigmoid:
     def test_saturates_exactly_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = forward(_identity_net(), [[-800.0], [800.0], [-709.0], [0.0]])
+            out = forward(_identity_net(), [[[-800.0]], [[800.0]], [[-709.0]], [[0.0]]])[:, 0]
         assert out[0] == 0.0 and out[1] == 1.0
         assert 0.0 < out[2] < 1e-300 and out[3] == 0.5
 
     def test_training_on_saturated_rows_raises_no_warning(self):
-        data = _as_dataset([[-800.0], [800.0]], [0, 1])
+        data = _as_dataset([[[-800.0]], [[800.0]]], [0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, ce = train(_identity_net(), data, TrainConfig(epochs=2, batch_size=2))
-        assert np.isfinite(ce)
+        assert ce.shape == (1,) and np.isfinite(ce[0])
 
     def test_matches_scipy_expit(self):
         expit = pytest.importorskip("scipy.special").expit
         z = np.linspace(-40.0, 40.0, 20_001)
-        np.testing.assert_allclose(forward(_identity_net(), z[:, None]), expit(z),
+        np.testing.assert_allclose(forward(_identity_net(), z[:, None, None])[:, 0], expit(z),
                                    rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
@@ -173,7 +206,7 @@ class TestCeLoss:
 def _fd_gradients(mlp, x, t, h=1e-5):
     """Central finite differences of the batch loss per parameter."""
     def loss():
-        return ce_loss(forward(mlp, x), t)
+        return ce_loss(forward(mlp, x)[:, 0], t)
 
     grads = []
     for arr in list(mlp.weights) + list(mlp.biases):
@@ -205,7 +238,7 @@ class TestBackward:
         rng = np.random.default_rng(42)
         for sizes in ([3, 1], [4, 6, 1], [5, 8, 8, 1]):
             mlp = init_mlp(sizes, seed=int(rng.integers(1000)))
-            x = rng.normal(size=(12, sizes[0]))
+            x = rng.normal(size=(12, 1, sizes[0]))
             t = rng.integers(0, 2, 12)
             gw, gb = backward(mlp, x, t)
             fw, fb = _fd_gradients(mlp, x, t)
@@ -213,18 +246,18 @@ class TestBackward:
             assert _max_rel_err(gb, fb) < 1e-5, sizes
 
     def test_saturated_correct_scores_have_tiny_gradient(self):
-        mlp = MLP([np.array([[30.0]])], [np.array([0.0])])
-        x = np.array([[1.0], [-1.0]])
+        mlp = MLP([np.array([[[30.0]]])], [np.array([[0.0]])])
+        x = np.array([[[1.0]], [[-1.0]]])
         t = np.array([1, 0])
         gw, gb = backward(mlp, x, t)
-        assert abs(gw[0][0, 0]) < 1e-10 and abs(gb[0][0]) < 1e-10
+        assert abs(gw[0][0, 0, 0]) < 1e-10 and abs(gb[0][0, 0]) < 1e-10
 
     def test_linear_in_batch_union(self):
         """grad(A u B) is the size-weighted mean of grad(A) and grad(B)."""
         rng = np.random.default_rng(9)
         mlp = init_mlp([4, 5, 1], seed=1)
-        xa, ta = rng.normal(size=(6, 4)), rng.integers(0, 2, 6)
-        xb, tb = rng.normal(size=(10, 4)), rng.integers(0, 2, 10)
+        xa, ta = rng.normal(size=(6, 1, 4)), rng.integers(0, 2, 6)
+        xb, tb = rng.normal(size=(10, 1, 4)), rng.integers(0, 2, 10)
         ga = backward(mlp, xa, ta)
         gb = backward(mlp, xb, tb)
         gu = backward(mlp, np.vstack([xa, xb]), np.concatenate([ta, tb]))
@@ -239,7 +272,7 @@ class TestBackward:
     def test_empty_batch_rejected(self):
         mlp = init_mlp([4, 5, 1], seed=1)
         with pytest.raises(ValueError):
-            backward(mlp, np.empty((0, 4)), np.empty(0))
+            backward(mlp, np.empty((0, 1, 4)), np.empty(0))
 
 
 def _separable_toy(n=400, seed=0):
@@ -249,22 +282,22 @@ def _separable_toy(n=400, seed=0):
     keep = np.abs(x.sum(axis=1)) > 0.3
     x = x[keep][:n]
     t = (x.sum(axis=1) > 0).astype(np.int64)
-    return _as_dataset(x, t)
+    return _as_dataset(_one(x), t)
 
 
 class TestTrain:
     def test_loss_decreases_from_init(self):
         ds = _separable_toy()
         mlp = init_mlp([2, 8, 1], seed=0)
-        ce0 = ce_loss(forward(mlp, ds.features), ds.labels)
+        ce0 = ce_loss(forward(mlp, ds.features)[:, 0], ds.labels)
         _, ce1 = train(mlp, ds, TrainConfig(epochs=50, batch_size=64, seed=1))
-        assert ce1 <= ce0
+        assert ce1.shape == (1,) and ce1[0] <= ce0
 
     def test_separable_toy_accuracy(self):
         ds = _separable_toy()
         mlp = init_mlp([2, 8, 1], seed=0)
         train(mlp, ds, TrainConfig(learning_rate=0.5, epochs=200, batch_size=64, seed=1))
-        acc = np.mean((forward(mlp, ds.features) > 0.5) == ds.labels)
+        acc = np.mean((forward(mlp, ds.features)[:, 0] > 0.5) == ds.labels)
         assert acc >= 0.99
 
     def test_zero_epochs_is_a_no_op(self):
@@ -286,7 +319,7 @@ class TestTrain:
             np.testing.assert_array_equal(wa, wb)
 
     def test_non_finite_training_raises(self):
-        bad = _as_dataset(np.array([[np.nan, 1.0], [0.0, 1.0]]), [0, 1])
+        bad = _as_dataset(_one([[np.nan, 1.0], [0.0, 1.0]]), [0, 1])
         mlp = init_mlp([2, 4, 1], seed=0)
         with pytest.raises(TrainingDivergedError, match="diverged"):
             train(mlp, bad, TrainConfig(epochs=1, batch_size=2))
@@ -324,11 +357,11 @@ class TestStackedTrain:
         scores = forward(stack, x)
         assert scores.shape == (n, p)
         for k in range(p):
-            alone, ce_k = train(init_mlp([5, 8, 8, 1], seed=3), _as_dataset(x[:, k], t), cfg)
+            alone, ce_k = train(init_mlp([5, 8, 8, 1], seed=3), _as_dataset(x[:, k:k + 1], t), cfg)
             for stacked, single in zip(stack.weights + stack.biases, alone.weights + alone.biases):
-                assert np.array_equal(stacked[k], single)
-            assert ce[k] == ce_k
-            assert np.array_equal(scores[:, k], forward(alone, x[:, k]))
+                assert np.array_equal(stacked[k], single[0])
+            assert ce[k] == ce_k[0]
+            assert np.array_equal(scores[:, k], forward(alone, x[:, k:k + 1])[:, 0])
 
     def test_divergence_names_networks_and_epoch(self):
         """A huge learning rate overflows the weight of the network whose
@@ -345,8 +378,8 @@ class TestStackedTrain:
                                match=r"^training diverged: networks \[1\] of 3 not finite after epoch 1$"):
                 train(init_mlp([1, 1], seed=0, copies=3), _as_dataset(x, t), cfg)
             with pytest.raises(TrainingDivergedError,
-                               match=r"^training diverged: the network not finite after epoch 1$"):
-                train(init_mlp([1, 1], seed=0), _as_dataset(x[:, 1], t), cfg)
+                               match=r"^training diverged: networks \[0\] of 1 not finite after epoch 1$"):
+                train(init_mlp([1, 1], seed=0), _as_dataset(x[:, 1:2], t), cfg)
             _, ce = train(init_mlp([1, 1], seed=0, copies=2), _as_dataset(x[:, ::2], t), cfg)
         assert np.all(np.isfinite(ce))
 
@@ -370,15 +403,15 @@ class TestBiasGradient:
         gradients they get alone."""
         rng = np.random.default_rng(p * rows)
         delta = rng.normal(size=(p, rows, 8))
-        assert np.array_equal(np.einsum("...bo->...o", delta), delta.sum(axis=-2))
-        assert np.array_equal(np.einsum("...bo->...o", delta[0]), delta[0].sum(axis=-2))
+        assert np.array_equal(np.einsum("pbo->po", delta), delta.sum(axis=1))
+        assert np.array_equal(np.einsum("pbo->po", delta[:1])[0], delta[0].sum(axis=0))
         x = rng.normal(size=(rows, p, 5))
         t = rng.integers(0, 2, rows)
         grads_w, grads_b = backward(init_mlp([5, 8, 8, 1], seed=1, copies=p), x, t)
         for k in range(p):
-            alone_w, alone_b = backward(init_mlp([5, 8, 8, 1], seed=1), x[:, k], t)
+            alone_w, alone_b = backward(init_mlp([5, 8, 8, 1], seed=1), x[:, k:k + 1], t)
             for stacked, single in zip(grads_w + grads_b, alone_w + alone_b):
-                assert np.array_equal(stacked[k], single)
+                assert np.array_equal(stacked[k], single[0])
 
 
 class TestDecide:

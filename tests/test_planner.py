@@ -19,7 +19,7 @@ from irlv.planner import (
     plan_two_stage,
     run_pso,
 )
-from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, Position, StreetScenario
+from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, CircularScenario, Position, StreetScenario
 
 
 def _sphere(x):
@@ -217,7 +217,10 @@ class DiscRoiScenario:
     def _inside(self, x, y):
         return np.hypot(x - self.roi_center[0], y - self.roi_center[1]) <= self.roi_radius
 
-    def los_mask(self, xy, bs_index):
+    def contains(self, x, y):
+        return (0.0 <= x) & (x <= self.map_side) & (0.0 <= y) & (y <= self.map_side)
+
+    def los_mask(self, xy, bs):
         return np.ones(np.asarray(xy).shape[0], dtype=bool)
 
     def sample_region(self, region, rng, size):
@@ -234,10 +237,6 @@ class DiscRoiScenario:
             out[filled : filled + k] = cand[:k]
             filled += k
         return out
-
-    def with_bs_positions(self, positions):
-        pts = tuple(Position(float(p[0]), float(p[1])) for p in np.asarray(positions))
-        return dataclasses.replace(self, bs_positions=pts)
 
 
 @dataclass(frozen=True)
@@ -263,12 +262,30 @@ FAST_EVAL = PlacementEvalConfig(
 
 
 def _score(scenario, xy, cfg):
-    """evaluate_placement of one placement, with its own fields."""
-    placed = scenario.with_bs_positions(np.reshape(xy, (-1, 2)))
-    return evaluate_placement(placed, generate_fields(placed, cfg.channel, cfg.field_seed), cfg)[0]
+    """evaluate_placement of one placement, a stack of one, with its own fields."""
+    fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
+    return evaluate_placement(scenario, fields, cfg, np.reshape(xy, (1, -1, 2)))[0]
 
 
 class TestEvaluatePlacement:
+    @pytest.mark.parametrize("scenario, channel, pinned", [
+        (StreetScenario.default(), ChannelParams(), (0.47451557371680175, 0.018018575851393187)),
+        (CircularScenario.default(), ChannelParams(sigma_s_db=0.0),
+         (0.8614221386274762, 0.22396284829721363)),
+    ], ids=["street", "disc"])
+    def test_pinned_own_placement(self, scenario, channel, pinned):
+        """The scenario's own placement, scored as a stack of one, gets the
+        literal CE and AUC that its single network got when roc and
+        np-compare trained one."""
+        cfg = PlacementEvalConfig(
+            channel=channel, s_total=600, n_hidden=4, n_layers=2,
+            train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64, seed=0),
+            field_seed=1, dataset_seed=2, init_seed=3,
+        )
+        [score] = evaluate_placement(scenario, generate_fields(scenario, channel, cfg.field_seed),
+                                     cfg, np.array([scenario.bs_positions]))
+        assert (score.ce_bits, score.auc_value) == pinned
+
     def test_deterministic(self):
         scenario = DiscRoiScenario()
         a = _score(scenario, [50.0, 50.0], FAST_EVAL)

@@ -34,8 +34,8 @@ def _map_draws(scenario, rng, size):
 
 
 # one-row queries through the batch API
-def _is_los(scenario, pos, bs_index: int) -> bool:
-    return bool(scenario.los_mask(np.array([pos], dtype=float), bs_index)[0])
+def _is_los(scenario, pos, bs) -> bool:
+    return bool(scenario.los_mask(np.array([pos], dtype=float), bs)[0])
 
 
 class TestRectangle:
@@ -108,13 +108,6 @@ class TestStreetScenarioGeometry:
         assert not s.contains(-1.0, 10.0)
         assert not s.contains(10.0, 526.0)
 
-    def test_with_bs_positions(self):
-        s = StreetScenario.default()
-        moved = s.with_bs_positions([(10.0, 10.0), (500.0, 500.0)])
-        assert moved.n_bs == 2
-        assert moved.roi == s.roi
-        assert s.n_bs == 5
-
 
 class TestStreetLos:
     """A link is LOS iff the point shares a street with the base station."""
@@ -122,43 +115,38 @@ class TestStreetLos:
     def test_horizontal_street_bs(self):
         s = StreetScenario.default()
         # BS 0 is at (127.5, 262.5), on the horizontal street only.
-        assert _is_los(s, Position(500.0, 262.5), 0)
-        assert not _is_los(s, Position(262.5, 500.0), 0)
+        assert _is_los(s, Position(500.0, 262.5), s.bs_positions[0])
+        assert not _is_los(s, Position(262.5, 500.0), s.bs_positions[0])
 
     def test_vertical_street_bs(self):
         s = StreetScenario.default()
         # BS 2 is at (262.5, 127.5), on the vertical street only.
-        assert _is_los(s, Position(262.5, 10.0), 2)
-        assert not _is_los(s, Position(10.0, 262.5), 2)
+        assert _is_los(s, Position(262.5, 10.0), s.bs_positions[2])
+        assert not _is_los(s, Position(10.0, 262.5), s.bs_positions[2])
 
     def test_central_bs_sees_both_streets(self):
         s = StreetScenario.default()
         # BS 4 at the crossing belongs to both streets.
-        assert _is_los(s, Position(10.0, 262.5), 4)
-        assert _is_los(s, Position(262.5, 10.0), 4)
+        assert _is_los(s, Position(10.0, 262.5), s.bs_positions[4])
+        assert _is_los(s, Position(262.5, 10.0), s.bs_positions[4])
 
     def test_off_street_point_is_never_los(self):
         s = StreetScenario.default()
-        for n in range(s.n_bs):
-            assert not _is_los(s, Position(191.25, 191.25), n)
+        for bs in s.bs_positions:
+            assert not _is_los(s, Position(191.25, 191.25), bs)
 
     def test_off_street_bs_is_never_los(self):
-        s = StreetScenario.default().with_bs_positions([(50.0, 50.0)])
-        assert not _is_los(s, Position(262.5, 262.5), 0)
-
-    def test_bad_index(self):
         s = StreetScenario.default()
-        with pytest.raises(IndexError):
-            _is_los(s, Position(262.5, 262.5), 5)
+        assert not _is_los(s, Position(262.5, 262.5), (50.0, 50.0))
 
     def test_los_mask_matches_scalar_route(self):
         """A batch query answers each point as a one-row query does."""
         s = StreetScenario.default()
         rng = np.random.default_rng(7)
         xy = _map_draws(s, rng, 300)
-        for n in range(s.n_bs):
-            mask = s.los_mask(xy, n)
-            scalar = np.array([_is_los(s, Position(x, y), n) for x, y in xy])
+        for bs in s.bs_positions:
+            mask = s.los_mask(xy, bs)
+            scalar = np.array([_is_los(s, Position(x, y), bs) for x, y in xy])
             np.testing.assert_array_equal(mask, scalar)
 
 
@@ -235,10 +223,10 @@ class TestCircularScenario:
 
     def test_always_los(self):
         c = CircularScenario.default()
-        assert _is_los(c, Position(-30.0, 20.0), 0)
+        assert _is_los(c, Position(-30.0, 20.0), c.bs_positions[0])
         rng = np.random.default_rng(5)
         xy = _map_draws(c, rng, 100)
-        assert np.all(c.los_mask(xy, 0))
+        assert np.all(c.los_mask(xy, c.bs_positions[0]))
 
     def test_samplers_respect_regions(self):
         c = CircularScenario.default()
