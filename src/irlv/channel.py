@@ -165,12 +165,12 @@ def _next_fast_len(n: int) -> int:
     return min(m for m in lengths if m >= n)
 
 
-def _fft2(a: np.ndarray) -> np.ndarray:
-    """2-D FFT of a complex array, in place, in the order scipy.fft.fft2
-    runs it (first axis first), so the result matches it bit for bit.
-    In place, it allocates no padded-size array per transform."""
+def _fft2_rows(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of the 2-D FFT of a complex array, in place (no
+    padded-size array per transform), bit for bit as scipy.fft.fft2(a)[:n]:
+    along the first axis first, as scipy runs it, then on the n rows kept."""
     np.fft.fft(a, axis=0, out=a)
-    return np.fft.fft(a, axis=1, out=a)
+    return np.fft.fft(a[:n], axis=1, out=a[:n])
 
 
 def _real_fft2(cov: np.ndarray) -> np.ndarray:
@@ -246,9 +246,10 @@ def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
     """Stationary Gaussian field via circulant embedding and FFT synthesis."""
     amp = _synthesis_factor(False, nx, ny, spacing, sigma, d_c)
     my, mx = amp.shape
-    xi = rng.standard_normal((my, mx)) + 1j * rng.standard_normal((my, mx))
-    w = _fft2(amp * xi)
-    return w.real[:ny, :nx].copy()  # a view would keep the padded array alive
+    xi = np.empty((my, mx), dtype=complex)  # amp * (re + 1j * im), filled in place
+    np.multiply(amp, rng.standard_normal((my, mx)), out=xi.real)
+    np.multiply(amp, rng.standard_normal((my, mx)), out=xi.imag)
+    return _fft2_rows(xi, ny).real[:, :nx].copy()  # a view would keep the padded array alive
 
 
 def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> ShadowingField:

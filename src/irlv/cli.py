@@ -315,6 +315,13 @@ def _write_manifest(out_dir: Path, command: str, config_path: Path,
     os.replace(tmp, out_dir / "manifest.json")
 
 
+def _job_count(text: str) -> int:
+    """--jobs: a whole number of worker processes, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="irlv",
@@ -336,7 +343,7 @@ def main(argv=None) -> int:
                        help="output directory (default: [output] directory)")
         p.add_argument("--seed-offset", type=int, default=0,
                        help="added to every configured seed")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_job_count, default=1,
                        help="parallel sweep jobs")
     args = parser.parse_args(argv)
     config_path = args.config if args.config is not None else default_config_path()

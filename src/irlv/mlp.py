@@ -18,7 +18,11 @@ matmuls over the leading P axis, which numpy runs as one 2-D BLAS product
 per network, so each network of a stack scores and trains bit-identical
 to the network alone.
 
-The sigmoid is 1/(1 + exp(-z)) on numpy's own exp, computed in place.
+The kernel runs on V = -W and c = -b, views into one flat array.  IEEE
+negation is exact and rounding sign-symmetric (BLAS products and FMA sums
+too), so a @ V.mT + c is exactly -(a @ W.mT + b): the sigmoid 1/(1 + exp(-z))
+needs no negation pass, the delta keeps its sign times (y - 1) for (1 - y),
+and V += lr * g over the flat array is bit-equal to W -= lr * g per layer.
 """
 
 from __future__ import annotations
@@ -108,32 +112,57 @@ def _check_batch(mlp: MLP, x: np.ndarray) -> None:
                          f"got {x.shape}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) in place.  Below z = -709 exp(-z) overflows to inf
-    and the result is exactly 0; callers silence that overflow with one
-    np.errstate per call of train or forward, not one per layer."""
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.reciprocal(z, out=z)
+def _negated(mlp: MLP, flat: np.ndarray | None = None):
+    """V[l] = -W[l], then c[l] = -b[l], as views into one flat array (into
+    flat itself, when given, shaped like the parameters)."""
+    arrays = mlp.weights + mlp.biases
+    flat = np.negative(np.concatenate([a.ravel() for a in arrays])) if flat is None else flat
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [v.reshape(a.shape) for v, a in zip(parts, arrays)]
+    return flat, views[:mlp.n_layers], views[mlp.n_layers:]
 
 
-def _forward_all(mlp: MLP, x: np.ndarray):
-    """Each layer's activations in turn, input first, for a network-major
-    (P, n, n_inputs) batch; a layer is dropped once the caller moves on."""
-    yield x
-    for w, b in zip(mlp.weights, mlp.biases):
-        x = x @ w.mT
-        x += b[:, None, :]
-        yield _sigmoid(x)
+def _layers(vs, cs, x, outs):
+    """Each layer's activations 1 / (1 + exp(a @ V.mT + c)) for a (P, n, n_in)
+    batch, in place in outs[l] (None allocates one layer at a time).  Below a
+    pre-activation of -709 exp overflows to inf, giving exactly 0: callers silence it."""
+    for v, c, out in zip(vs, cs, outs):
+        x = np.matmul(x, v.mT, out=out)
+        x += c[:, None, :]
+        np.exp(x, out=x)
+        x += 1.0
+        yield np.reciprocal(x, out=x)
+
+
+def _gradients(vs, cs, x, t, outs, deltas, grads_w, grads_b):
+    """Gradients of the cross-entropy of a (P, n, n_in) batch x with (n, 1)
+    labels t w.r.t. W and b, into grads_w and grads_b, by way of outs and
+    deltas (None allocates), as _layers takes them."""
+    ys = [x, *_layers(vs, cs, x, outs)]
+    # output layer: d(loss)/d(pre-activation) of the single sigmoid output
+    delta = np.subtract(ys[-1], t, out=deltas[-1])
+    delta /= len(t) * LN2
+    for l in range(len(vs) - 1, -1, -1):
+        np.matmul(delta.mT, ys[l], out=grads_w[l])
+        if delta.shape[-1] > 1:  # einsum adds rows in order as sum does, without its slow strided loop
+            np.einsum("pbo->po", delta, out=grads_b[l])
+        else:  # sum adds a 1-wide column pairwise
+            np.add.reduce(delta, axis=1, out=grads_b[l])
+        if l:
+            # (delta @ V) * y * (y - 1) = (delta @ W) * y * (1 - y): two exact sign flips
+            delta = np.matmul(delta, vs[l], out=deltas[l - 1])
+            delta *= ys[l]
+            ys[l] -= 1.0
+            delta *= ys[l]
 
 
 def forward(mlp: MLP, a) -> np.ndarray:
     """Scores t~ in (0, 1), (n, P) for (n, P, n_inputs) rows."""
     x = np.asarray(a, dtype=float)
     _check_batch(mlp, x)
+    _, vs, cs = _negated(mlp)
     with np.errstate(over="ignore"):
-        for y in _forward_all(mlp, x.swapaxes(0, 1)):
+        for y in _layers(vs, cs, x.swapaxes(0, 1), [None] * mlp.n_layers):
             pass
     return y[..., 0].T
 
@@ -155,20 +184,11 @@ def backward(mlp: MLP, features: np.ndarray, labels) -> tuple[list[np.ndarray], 
     _check_batch(mlp, x)
     if len(x) == 0 or len(t) != len(x):
         raise ValueError("need a nonempty aligned batch")
-    n = len(x)
-    ys = list(_forward_all(mlp, x.swapaxes(0, 1)))  # network-major view of the batch
-    # output layer: d(loss)/d(pre-activation) of the single sigmoid output
-    delta = (ys[-1] - t[:, None]) / (n * LN2)
-    grads_w = [np.empty(0)] * mlp.n_layers
-    grads_b = [np.empty(0)] * mlp.n_layers
-    for l in range(mlp.n_layers - 1, -1, -1):
-        grads_w[l] = delta.mT @ ys[l]
-        # einsum adds rows in order, as sum does rows wider than one, without
-        # sum's slow strided loop over a stack; sum adds a column pairwise
-        grads_b[l] = np.einsum("pbo->po", delta) if delta.shape[-1] > 1 else delta.sum(axis=1)
-        if l:
-            y = ys[l]
-            delta = (delta @ mlp.weights[l]) * y * (1.0 - y)
+    flat, vs, cs = _negated(mlp)
+    _, grads_w, grads_b = _negated(mlp, np.empty_like(flat))
+    outs = [None] * mlp.n_layers
+    with np.errstate(over="ignore"):
+        _gradients(vs, cs, x.swapaxes(0, 1), t[:, None], outs, outs, grads_w, grads_b)
     return grads_w, grads_b
 
 
@@ -207,21 +227,33 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, np.ndarray]:
     """
     x = np.asarray(train_set.features, dtype=float)
     t = np.asarray(train_set.labels, dtype=float)
+    _check_batch(mlp, x)
     n = len(x)
     if config.batch_size > n:
         raise ValueError("batch_size exceeds the training set size")
     rng = np.random.default_rng(config.seed)
-    with np.errstate(over="ignore"):  # for the sigmoid, see _sigmoid
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                grads_w, grads_b = backward(mlp, x[idx], t[idx])
-                for w, b, gw, gb in zip(mlp.weights, mlp.biases, grads_w, grads_b):
-                    w -= config.learning_rate * gw
-                    b -= config.learning_rate * gb
-            _raise_if_diverged(np.logical_and.reduce(
-                [np.isfinite(w).all(axis=(-2, -1)) for w in mlp.weights]), epoch)
+    flat, vs, cs = _negated(mlp)
+    grad, grads_w, grads_b = _negated(mlp, np.empty_like(flat))
+    # one gather per epoch; a batch is a slice, with buffers for its size
+    epoch_x, epoch_t, bs = np.empty_like(x), np.empty((n, 1)), config.batch_size
+    batches = [(epoch_x[s:s + bs].swapaxes(0, 1), epoch_t[s:s + bs]) for s in range(0, n, bs)]
+    work = {shape: [[np.empty(shape[:2] + w.shape[1:2]) for w in mlp.weights] for _ in range(2)]
+            for shape in {xb.shape for xb, _ in batches}}
+    try:
+        with np.errstate(over="ignore"):  # for the sigmoid, see _layers
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(n)
+                np.take(x, order, axis=0, out=epoch_x, mode="clip")
+                np.take(t, order, out=epoch_t[:, 0], mode="clip")
+                for xb, tb in batches:
+                    _gradients(vs, cs, xb, tb, *work[xb.shape], grads_w, grads_b)
+                    grad *= config.learning_rate
+                    flat += grad
+                _raise_if_diverged(np.logical_and.reduce(
+                    [np.isfinite(v).all(axis=(-2, -1)) for v in vs]), epoch)
+    finally:  # back into the stack's own arrays, diverged or not
+        for a, v in zip(mlp.weights + mlp.biases, vs + cs):
+            np.negative(v, out=a)
     final_ce = np.array([ce_loss(s, t) for s in forward(mlp, x).T])
     _raise_if_diverged(np.isfinite(final_ce), config.epochs)
     return mlp, final_ce

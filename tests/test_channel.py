@@ -12,7 +12,7 @@ from irlv.channel import (
     _circulant_eigenvalues,
     _exponential_cov_dense,
     _exponential_cov_fft,
-    _fft2,
+    _fft2_rows,
     _next_fast_len,
     _real_fft2,
     _synthesis_factor,
@@ -271,12 +271,19 @@ class TestNumpyFftMatchesScipy:
         ns = range(1, 5001)
         assert [_next_fast_len(n) for n in ns] == [scipy_fft.next_fast_len(n) for n in ns]
 
-    @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
+    @pytest.mark.parametrize("shape", FFT_SHAPES + [(324, 324)], ids=str)
     def test_complex_fft2(self, shape):
+        """The kept rows of the 2-D FFT are scipy's bit for bit, for one row,
+        half of them and all; 324x324 is a doubled embedding of an 81-row
+        grid, of which a field keeps 81 rows."""
         scipy_fft = pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(0)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        np.testing.assert_array_equal(_fft2(a.copy()), scipy_fft.fft2(a))
+        full = scipy_fft.fft2(a)
+        for n in {1, (shape[0] + 1) // 2, shape[0], min(81, shape[0])}:
+            kept = _fft2_rows(a.copy(), n)
+            assert kept.shape == (n, shape[1])
+            np.testing.assert_array_equal(kept, full[:n])
 
     @pytest.mark.parametrize("shape", FFT_SHAPES, ids=str)
     def test_real_fft2(self, shape):

@@ -292,6 +292,18 @@ class TestExitCodes:
             "config error: [dataset] p0: 0.0001 of 200 samples leaves one class without rows\n"
         )
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        """argparse refuses --jobs below 1 or not a whole number with its
+        usage exit code, before any output."""
+        cfg = write_cfg(tmp_path, CIRCULAR)
+        with pytest.raises(SystemExit) as exc:
+            run(["roc", "--config", cfg, "--out", tmp_path / "o", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert (f"argument --jobs: must be a whole number of at least 1, got '{jobs}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         from irlv.mlp import TrainingDivergedError
 

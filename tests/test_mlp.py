@@ -383,6 +383,19 @@ class TestStackedTrain:
             _, ce = train(init_mlp([1, 1], seed=0, copies=2), _as_dataset(x[:, ::2], t), cfg)
         assert np.all(np.isfinite(ce))
 
+    def test_diverged_network_keeps_its_non_finite_parameters(self):
+        """train updates the stack in place, so once it raises, the
+        diverged network's arrays in mlp.weights hold the non-finite
+        values and the other networks' stay finite."""
+        t = np.arange(64) % 2
+        x = np.ones((64, 3, 1)) * np.array([1e-3, 1e3, 1e-3])[None, :, None]
+        stack = init_mlp([1, 1], seed=0, copies=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r"networks \[1\] of 3"):
+                train(stack, _as_dataset(x, t), TrainConfig(learning_rate=1e308, epochs=3, batch_size=16))
+        assert not np.all(np.isfinite(stack.weights[0][1]))
+        assert np.all(np.isfinite(stack.weights[0][::2])) and np.all(np.isfinite(stack.biases[0][::2]))
+
     def test_mismatched_stack_rejected(self):
         mlp = init_mlp([2, 4, 1], seed=0, copies=3)
         with pytest.raises(ValueError, match="shape"):
@@ -391,6 +404,76 @@ class TestStackedTrain:
             backward(mlp, np.zeros((10, 2)), np.zeros(10))
         with pytest.raises(ValueError, match="stack size"):
             MLP([np.zeros((3, 4, 2)), np.zeros((2, 1, 4))], [np.zeros((3, 4)), np.zeros((2, 1))])
+
+
+def _reference_backward(mlp, x, t):
+    """The gradients as plain positive-weight algebra, one fresh array per
+    activation, delta and gradient."""
+    ys = [x.swapaxes(0, 1)]
+    for w, b in zip(mlp.weights, mlp.biases):
+        ys.append(1.0 / (1.0 + np.exp(-(ys[-1] @ w.mT + b[:, None, :]))))
+    delta = (ys[-1] - t[:, None]) / (len(x) * math.log(2.0))
+    grads_w, grads_b = [None] * mlp.n_layers, [None] * mlp.n_layers
+    for l in range(mlp.n_layers - 1, -1, -1):
+        grads_w[l] = delta.mT @ ys[l]
+        grads_b[l] = np.einsum("pbo->po", delta) if delta.shape[-1] > 1 else delta.sum(axis=1)
+        if l:
+            delta = (delta @ mlp.weights[l]) * ys[l] * (1.0 - ys[l])
+    return grads_w, grads_b
+
+
+def _reference_train(mlp, x, t, config):
+    """Mini-batch descent as a loop over fancy-indexed batches with one
+    update per layer: the loop train's fused step replaces."""
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grads_w, grads_b = backward(mlp, x[idx], t[idx])
+            for w, b, gw, gb in zip(mlp.weights, mlp.biases, grads_w, grads_b):
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+    return mlp, np.array([ce_loss(s, t) for s in forward(mlp, x).T])
+
+
+STEP_SIZES = [[5, 8, 8, 1], [5, 4, 1], [5, 1, 8, 1], [5, 1], [1, 8, 8, 8, 8, 1]]
+
+
+class TestFusedStep:
+    """train's step (one gather per epoch, buffers per batch size, negated
+    parameters updated as one flat array) is the plain loop bit for bit."""
+
+    @pytest.mark.parametrize("sizes", STEP_SIZES, ids=str)
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_backward_is_the_plain_algebra(self, p, sizes):
+        rng = np.random.default_rng(len(sizes) * p)
+        x, t = rng.normal(size=(37, p, sizes[0])), rng.integers(0, 2, 37)
+        mlp = init_mlp(sizes, seed=4, copies=p)
+        for a, b in zip(sum(backward(mlp, x, t), []), sum(_reference_backward(mlp, x, t), [])):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sizes", STEP_SIZES, ids=str)
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matches_the_plain_loop(self, p, sizes):
+        rng = np.random.default_rng(10 * len(sizes) + p)
+        t = rng.integers(0, 2, 96)
+        x = rng.normal(size=(96, p, sizes[0])) + rng.normal(size=(1, p, sizes[0])) * t[:, None, None]
+        data = _as_dataset(x, t)
+        features = data.features.tobytes()
+        for batch_size in (32, 40):  # 96 rows: whole batches, then a short last one
+            for lr in (0.05, 0.5):
+                cfg = TrainConfig(learning_rate=lr, epochs=3, batch_size=batch_size, seed=batch_size)
+                mlp = init_mlp(sizes, seed=5, copies=p)
+                arrays = mlp.weights + mlp.biases
+                trained, ce = train(mlp, data, cfg)
+                assert trained is mlp
+                assert all(a is b for a, b in zip(trained.weights + trained.biases, arrays))
+                ref, ref_ce = _reference_train(init_mlp(sizes, seed=5, copies=p), x, t.astype(float), cfg)
+                for a, b in zip(arrays, ref.weights + ref.biases):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(ce, ref_ce)
+        assert data.features.tobytes() == features
 
 
 class TestBiasGradient:
