@@ -142,11 +142,16 @@ def _dense_factor(nx, ny, spacing, sigma, d_c):
     """Lower Cholesky factor of the covariance of the nx*ny grid nodes (x fastest)."""
     xs = np.arange(nx) * spacing
     ys = np.arange(ny) * spacing
-    gx, gy = np.meshgrid(xs, ys)
-    px, py = gx.ravel(), gy.ravel()
-    # one expression, so each (N, N) difference is freed once it is squared
-    dist = np.sqrt((px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2)
-    cov = sigma**2 * np.exp(-dist / d_c)
+    dx2 = (xs[:, None] - xs[None, :]) ** 2
+    dy2 = (ys[:, None] - ys[None, :]) ** 2
+    # node (j, i) is row j*nx + i, so the squared distance between nodes
+    # (j, i) and (l, k) is dx2[i, k] + dy2[j, l]: one (N, N) array, and the
+    # covariance is built in it
+    cov = np.add(dx2[None, :, None, :], dy2[:, None, :, None]).reshape(nx * ny, nx * ny)
+    np.sqrt(cov, out=cov)
+    np.divide(cov, -d_c, out=cov)  # -dist / d_c: IEEE division rounds sign-symmetrically
+    np.exp(cov, out=cov)
+    np.multiply(cov, sigma**2, out=cov)
     cov[np.diag_indices_from(cov)] += 1e-10 * sigma**2
     return np.linalg.cholesky(cov)
 
@@ -341,7 +346,7 @@ def save_field(field: ShadowingField, path) -> None:
                 field.seed,
             )
         )
+        row_format = ",".join(["%.17g"] * field.nx) + "\n"
         for row in field.values:
-            f.write(",".join(format(v, ".17g") for v in row))
-            f.write("\n")
+            f.write(row_format % tuple(row.tolist()))
 

@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +66,9 @@ def _map_jobs(fn, payloads, jobs: int):
     """Run independent jobs, preserving payload order in the results."""
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(*p) for p in payloads]
+    # imported here, so a serial run never loads the process pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     # the fork start method launches every worker at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         futures = [pool.submit(fn, *p) for p in payloads]

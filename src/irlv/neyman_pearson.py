@@ -116,7 +116,8 @@ def alpha(r, geometry: SectorGeometry):
     arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr <= 0):
         raise ValueError("radius must be positive")
-    order = np.argsort(arr, kind="stable")
+    # equal radii get equal counts, so the order among ties does not matter
+    order = np.argsort(arr)
     out = np.empty_like(arr)
     out[order] = _alpha_of_sorted(arr[order], geometry)
     return float(out[0]) if np.asarray(r).ndim == 0 else out

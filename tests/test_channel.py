@@ -1,6 +1,7 @@
 """Channel model tests: path loss values, shadowing statistics, attenuation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from irlv.channel import (
     EmbeddingError,
     ShadowingField,
     _circulant_eigenvalues,
+    _dense_factor,
     _exponential_cov_dense,
     _exponential_cov_fft,
     _fft2_rows,
@@ -375,6 +377,45 @@ class TestSynthesisFactorCache:
         assert (info.maxsize, info.hits, info.misses) == (2, 0, 6)
 
 
+def _dense_factor_reference(nx, ny, spacing, sigma, d_c):
+    """The covariance of every node pair written out as one (N, N) formula."""
+    xs = np.arange(nx) * spacing
+    ys = np.arange(ny) * spacing
+    gx, gy = np.meshgrid(xs, ys)
+    px, py = gx.ravel(), gy.ravel()
+    dist = np.sqrt((px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2)
+    cov = sigma**2 * np.exp(-dist / d_c)
+    cov[np.diag_indices_from(cov)] += 1e-10 * sigma**2
+    return np.linalg.cholesky(cov)
+
+
+class TestDenseFactor:
+    # (nx, ny, spacing, sigma, d_c): the 36x36 field-dense grid, non-square
+    # grids and spacings that are not whole numbers
+    GRIDS = [
+        (36, 36, 15.0, 8.0, 75.0),
+        (17, 30, 3.75, 8.0, 75.0),
+        (40, 12, 0.7, 3.5, 12.0),
+        (23, 9, 1.1, 8.0, 75.0),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_equals_the_pairwise_formula(self, grid):
+        np.testing.assert_array_equal(_dense_factor(*grid), _dense_factor_reference(*grid))
+
+    def test_peak_memory_is_two_covariances(self):
+        nx = ny = 36
+        n_bytes = (nx * ny) ** 2 * 8
+        _dense_factor(4, 4, 15.0, 8.0, 75.0)  # first-call allocations outside the peak
+        tracemalloc.start()
+        try:
+            _dense_factor(nx, ny, 15.0, 8.0, 75.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n_bytes + 64 * 1024
+
+
 class TestBilinearInterpolation:
     def _field(self, values):
         return ShadowingField(
@@ -427,6 +468,20 @@ class TestFieldIo:
             f"# origin_x={f.origin_x:.17g} origin_y={f.origin_y:.17g} spacing={f.spacing:.17g} "
             f"nx={f.nx} ny={f.ny} sigma_s_db={f.sigma_s_db:.17g} d_c_m={f.d_c_m:.17g} seed={f.seed}"
         )
+
+    def test_rows_are_per_value_17_digit_renderings(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([
+            [-0.0, 0.0, tiny, -tiny * 3, 2.2250738585072014e-308],
+            [0.1, -1.0 / 3.0, 123456789.01234567, 1e300, -2.5e-320],
+        ])
+        f = ShadowingField(origin_x=0.0, origin_y=0.0, spacing=2.0, values=values,
+                           sigma_s_db=8.0, d_c_m=75.0, seed=0)
+        path = tmp_path / "field.csv"
+        save_field(f, path)
+        rows = path.read_text().splitlines()[2:]
+        assert rows == [",".join(format(v, ".17g") for v in row) for row in values]
+        assert rows[0].startswith("-0,0,4.9406564584124654e-324,")
 
 
 class TestAttenuation:

@@ -137,7 +137,7 @@ class TestRoc:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr("irlv.cli.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         assert _map_jobs(pow, [(2, 3), (3, 2), (2, 5)], 64) == [8, 9, 32]
         assert _map_jobs(pow, [(2, 3), (3, 2)], 1) == [8, 9]
         assert requested == [3]

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from irlv import neyman_pearson
 from irlv.channel import ChannelParams, path_loss_los_db
 from irlv.evaluation import auc
 from irlv.neyman_pearson import (
     LLR_SENTINEL_BITS,
     SectorGeometry,
+    _axis_interval,
     alpha,
     llr,
     np_roc,
@@ -65,6 +67,27 @@ def _alpha_naive(r_values, geometry):
     return np.array(out)
 
 
+def _alpha_reference(r, geometry):
+    """alpha of a radius array by a stable argsort and the scan written out."""
+    arr = np.asarray(r, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    r_sorted = arr[order]
+    k = geometry.n_angles
+    phi = (np.arange(k) + 0.5) * (TWO_PI / k)
+    roi = geometry.scenario.roi
+    lo_x, hi_x = _axis_interval(np.cos(phi), roi.xmin, roi.xmax)
+    lo_y, hi_y = _axis_interval(np.sin(phi), roi.ymin, roi.ymax)
+    lo = np.maximum(np.maximum(lo_x, lo_y), 0.0)
+    hi = np.minimum(hi_x, hi_y)
+    ok = lo <= hi
+    hits = np.zeros(len(r_sorted) + 1, dtype=np.int64)
+    np.add.at(hits, np.searchsorted(r_sorted, lo[ok], side="left"), 1)
+    np.add.at(hits, np.searchsorted(r_sorted, hi[ok], side="right"), -1)
+    out = np.empty_like(arr)
+    out[order] = np.cumsum(hits[:-1]) * (TWO_PI / k)
+    return out
+
+
 class TestAlpha:
     def test_unreachable_radii(self):
         assert alpha(3.9, GEO) == 0.0
@@ -118,6 +141,14 @@ class TestAlpha:
         r = np.array([20.0, 6.0, 35.0, 6.0])
         vec = alpha(r, GEO)
         np.testing.assert_array_equal(vec, [alpha(v, GEO) for v in r])
+
+    def test_unsorted_ties_match_naive_scan(self):
+        """Repeated radii in any order get the count of their own radius."""
+        coarse = SectorGeometry(CircularScenario.default(), resolution_rad=1e-3)
+        rng = np.random.default_rng(11)
+        r = rng.permutation(np.repeat(rng.uniform(0.5, 39.0, 60), rng.integers(1, 6, 60)))
+        np.testing.assert_array_equal(alpha(r, coarse), _alpha_naive(r, coarse))
+        np.testing.assert_array_equal(alpha(r, coarse), _alpha_reference(r, coarse))
 
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
@@ -259,6 +290,17 @@ class TestNpRoc:
             h_md = np.mean(r1 <= cutoff)
             np_md = np.interp(h_fa, roc.p_fa, roc.p_md)
             assert np_md <= h_md + 0.02, cutoff
+
+    @pytest.mark.parametrize("resolution", [1e-3, 1e-4])
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_equals_stable_sort_reference(self, monkeypatch, seed, resolution):
+        geo = SectorGeometry(CircularScenario.default(), resolution)
+        roc = np_roc(geo, PARAMS, 10_000, self.thetas, np.random.default_rng(seed))
+        monkeypatch.setattr(neyman_pearson, "alpha", _alpha_reference)
+        ref = np_roc(geo, PARAMS, 10_000, self.thetas, np.random.default_rng(seed))
+        np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
+        np.testing.assert_array_equal(roc.p_md, ref.p_md)
+        np.testing.assert_array_equal(roc.thresholds, ref.thresholds)
 
     def test_reproducible(self):
         a = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(3))

@@ -41,6 +41,16 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only a parallel run (--jobs above 1) imports the process pool."""
+    code = ("import sys, irlv.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_dependencies_are_exactly_the_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
