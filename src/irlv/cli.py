@@ -21,17 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channel import generate_fields, generate_shadowing_field, save_field
-from .config import (
-    SCENARIO_CIRCULAR,
-    SCENARIO_STREET,
-    ConfigError,
-    OBJECTIVE_BOTH,
-    RunConfig,
-    Seeds,
-    build_scenario,
-    default_config_path,
-    load_config,
-)
+from .config import ConfigError, OBJECTIVE_BOTH, RunConfig, Seeds, default_config_path, load_config
 from .errors import NumericError
 from .evaluation import auc, average_roc, roc_to_csv
 from .mlp import train  # noqa: F401  bench/tests/test_bench.py checks that tracing patches it here
@@ -43,6 +33,7 @@ from .planner import (
     evaluate_placement,
     plan_placement,
 )
+from .scenario import CircularScenario, StreetScenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,13 +82,12 @@ def _evaluate_task(scenario, cfg: PlacementEvalConfig):
     return evaluate_placement(scenario, fields, cfg, np.array([scenario.bs_positions]))[0]
 
 
-def cmd_roc(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
+def cmd_roc(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
     """Per-seed and seed-averaged test ROC curves over the configured sweep."""
-    scenario = build_scenario(cfg.scenario)
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
     payloads = [
-        (scenario, _task_config(cfg, cfg.seeds.shifted(offset + k), n_hidden=nh, s_total=s))
+        (cfg.scenario, _task_config(cfg, cfg.seeds.shifted(k), n_hidden=nh, s_total=s))
         for nh, s, k in tasks
     ]
     scores = _map_jobs(_evaluate_task, payloads, jobs)
@@ -123,23 +113,22 @@ def cmd_roc(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
     return outputs
 
 
-def cmd_np_compare(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
+def cmd_np_compare(cfg: RunConfig, out_dir: Path) -> list[str]:
     """Net and likelihood-ratio-test ROCs on the same disc geometry.
 
     Both tests see the deterministic line-of-sight channel the reference
     test is derived for, so the shadowing deviation is forced to zero.
     """
-    if cfg.scenario.kind != SCENARIO_CIRCULAR:
+    scenario = cfg.scenario
+    if not isinstance(scenario, CircularScenario):
         raise ConfigError("[scenario] kind: np-compare requires the circular scenario")
-    scenario = build_scenario(cfg.scenario)
     params = dataclasses.replace(cfg.placement.channel, sigma_s_db=0.0)
-    seeds = cfg.seeds.shifted(offset)
-    nn_curve = _evaluate_task(scenario, _task_config(cfg, seeds, channel=params)).roc
+    nn_curve = _evaluate_task(scenario, _task_config(cfg, cfg.seeds, channel=params)).roc
 
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
     np_curve = np_roc(geometry, params, cfg.eval.n_np_samples, thetas,
-                      _tagged_rng(seeds.dataset, 1))
+                      _tagged_rng(cfg.seeds.dataset, 1))
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])
@@ -171,7 +160,7 @@ def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
     return []
 
 
-def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]:
+def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
     """Placement searches per objective and seed, with best-value history
     CSVs and the per-iteration mean AUC across seeds.
 
@@ -180,19 +169,17 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
     """
     # the disc scenario pins its base station at the origin (the oracle's
     # geometry), so there is nothing to place there
-    if cfg.scenario.kind != SCENARIO_STREET:
+    if not isinstance(cfg.scenario, StreetScenario):
         raise ConfigError("[scenario] kind: plan requires the street scenario")
     objectives = (
         [OBJECTIVE_CE, OBJECTIVE_AUC] if cfg.objective == OBJECTIVE_BOTH
         else [cfg.objective]
     )
-    scenario = build_scenario(cfg.scenario)
     payloads = []
     for k in range(cfg.sweep.n_seeds):
-        seeds = cfg.seeds.shifted(offset + k)
-        searches = [(dataclasses.replace(cfg.pso, objective=obj), np.random.default_rng(seeds.pso))
-                    for obj in objectives]
-        payloads.append((scenario, _task_config(cfg, seeds), searches))
+        seeds = cfg.seeds.shifted(k)
+        searches = [(obj, cfg.pso, np.random.default_rng(seeds.pso)) for obj in objectives]
+        payloads.append((cfg.scenario, _task_config(cfg, seeds), searches))
     runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
             for obj, run in zip(objectives, seed_runs)}
     outputs = []
@@ -239,15 +226,13 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, offset: int, jobs: int) -> list[str]
     return outputs
 
 
-def cmd_field(cfg: RunConfig, out_dir: Path, offset: int) -> list[str]:
+def cmd_field(cfg: RunConfig, out_dir: Path) -> list[str]:
     """Shadowing field export plus an empirical-vs-theory covariance check.
 
     The field is zero-mean by construction, so the covariance estimate is
     a plain product average over realizations, along both grid axes.
     """
-    scenario = build_scenario(cfg.scenario)
-    params = cfg.placement.channel
-    seeds = cfg.seeds.shifted(offset)
+    scenario, params, seeds = cfg.scenario, cfg.placement.channel, cfg.seeds
     outputs = []
     fields = generate_fields(scenario, params, seeds.field)
     for n, f in enumerate(fields):
@@ -299,12 +284,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config_path: Path,
-                    cfg: RunConfig, seed_offset: int, outputs: list[str]) -> None:
+                    seeds: Seeds, seed_offset: int, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "config_sha256": _sha256(Path(config_path)),
         "seed_offset": seed_offset,
-        "seeds": dataclasses.asdict(cfg.seeds),
+        "seeds": dataclasses.asdict(seeds),
         "outputs": {name: _sha256(out_dir / name) for name in sorted(outputs)},
         "versions": {
             "irlv": __version__,
@@ -350,18 +335,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config_path = args.config if args.config is not None else default_config_path()
     try:
-        cfg = load_config(config_path)
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
+        loaded = load_config(config_path)
+        try:
+            cfg = dataclasses.replace(loaded, seeds=loaded.seeds.shifted(args.seed_offset))
+        except ValueError as exc:
+            raise ConfigError(f"--seed-offset {args.seed_offset}: shifted [seeds] {exc}") from None
+        out_dir = Path(args.out or cfg.directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "roc":
-            outputs = cmd_roc(cfg, out_dir, args.seed_offset, args.jobs)
+            outputs = cmd_roc(cfg, out_dir, args.jobs)
         elif args.command == "np-compare":
-            outputs = cmd_np_compare(cfg, out_dir, args.seed_offset)
+            outputs = cmd_np_compare(cfg, out_dir)
         elif args.command == "plan":
-            outputs = cmd_plan(cfg, out_dir, args.seed_offset, args.jobs)
+            outputs = cmd_plan(cfg, out_dir, args.jobs)
         else:
-            outputs = cmd_field(cfg, out_dir, args.seed_offset)
-        _write_manifest(out_dir, args.command, config_path, cfg, args.seed_offset, outputs)
+            outputs = cmd_field(cfg, out_dir)
+        _write_manifest(out_dir, args.command, config_path, loaded.seeds, args.seed_offset, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

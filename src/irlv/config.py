@@ -15,28 +15,19 @@ from .channel import ChannelParams
 from .mlp import TrainConfig
 from .neyman_pearson import MAX_RESOLUTION_RAD, MIN_NP_ROC_SAMPLES
 from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig
-from .scenario import CircularScenario, StreetScenario
-
-SCENARIO_STREET = "street"
-SCENARIO_CIRCULAR = "circular"
+from .scenario import (
+    SCENARIO_CIRCULAR,
+    SCENARIO_STREET,
+    CircularScenario,
+    ScenarioConfig,
+    StreetScenario,
+)
 
 OBJECTIVE_BOTH = "both"
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; message names the offending key."""
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    kind: str = SCENARIO_STREET
-    map_side: float = 525.0
-    building_side: float = 255.0
-    street_width: float = 15.0
-    r_out: float = 40.0
-    roi_width: float = 25.0
-    roi_height: float = 25.0
-    r_min: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,8 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    n_hidden: tuple[int, ...] = (8,)
-    s_total: tuple[int, ...] = (20_000,)
+    n_hidden: tuple[int, ...] = (PlacementEvalConfig.n_hidden,)
+    s_total: tuple[int, ...] = (PlacementEvalConfig.s_total,)
     n_seeds: int = 5
     n_field_realizations: int = 500
 
@@ -61,23 +52,25 @@ class Seeds:
     init: int
     pso: int
 
+    def __post_init__(self):
+        for key, seed in vars(self).items():
+            if seed < 0:
+                raise ValueError(f"{key}: {seed} is below 0")
+
     def shifted(self, offset: int) -> "Seeds":
-        return Seeds(
-            self.field + offset, self.dataset + offset,
-            self.init + offset, self.pso + offset,
-        )
+        return Seeds(**{key: seed + offset for key, seed in vars(self).items()})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: ScenarioConfig
+    scenario: StreetScenario | CircularScenario
     placement: PlacementEvalConfig  # [channel], [nn], [dataset]; seeds filled in per task
     pso: PsoConfig
-    objective: str  # ce, auc, or both
     eval: EvalConfig
     sweep: SweepConfig
     seeds: Seeds
-    output_dir: str = "runs"
+    objective: str = OBJECTIVE_CE  # [pso] objective: ce, auc, or both
+    directory: str = "runs"  # [output] directory
 
 
 def _names(cls, *skip: str) -> tuple[str, ...]:
@@ -94,11 +87,11 @@ SECTIONS = {
     "nn": {PlacementEvalConfig: ("n_hidden", "n_layers"),
            TrainConfig: ("learning_rate", "epochs", "batch_size")},
     "dataset": {PlacementEvalConfig: ("s_total", "p0", "train_frac")},
-    "pso": {PsoConfig: _names(PsoConfig)},
+    "pso": {PsoConfig: _names(PsoConfig), RunConfig: ("objective",)},
     "eval": {EvalConfig: _names(EvalConfig)},
     "sweep": {SweepConfig: _names(SweepConfig)},
     "seeds": {Seeds: _names(Seeds)},
-    "output": {RunConfig: ("directory",)},  # read into RunConfig.output_dir
+    "output": {RunConfig: ("directory",)},
 }
 
 
@@ -106,17 +99,17 @@ def _parse(raw: str, section: str, key: str, kind):
     if kind is tuple and not raw.replace(",", "").strip():
         raise ConfigError(f"[{section}] {key}: empty list")
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw.strip()
         if kind is tuple:  # a comma-separated list of integers
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        raise TypeError(kind)
-    except (TypeError, ValueError):
+            value = tuple(int(part) for part in raw.split(",") if part.strip())
+        elif kind is str:
+            value = raw.strip()
+        else:  # int or float
+            value = kind(raw)
+    except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite")
+    return value
 
 
 def _get(parser, section: str, key: str, kind):
@@ -168,9 +161,7 @@ def load_config(path) -> RunConfig:
         if unknown:
             raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
-    scenario = ScenarioConfig(**_read(parser, "scenario", ScenarioConfig))
-    if scenario.kind not in (SCENARIO_STREET, SCENARIO_CIRCULAR):
-        raise ConfigError(f"[scenario] kind: unknown scenario {scenario.kind!r}")
+    scenario = _build_scenario(ScenarioConfig(**_read(parser, "scenario", ScenarioConfig)))
 
     channel = _build(ChannelParams, "channel", _read(parser, "channel", ChannelParams))
     train = _build(TrainConfig, "nn", _read(parser, "nn", TrainConfig))
@@ -186,12 +177,7 @@ def load_config(path) -> RunConfig:
     if not 0.0 < placement.train_frac < 1.0:
         raise ConfigError("[dataset] train_frac: must lie strictly between 0 and 1")
 
-    # [pso] objective may also be "both", which no single swarm run takes
-    pso_keys = _read(parser, "pso", PsoConfig)
-    objective = pso_keys.pop("objective", PsoConfig.objective)
-    if objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
-        raise ConfigError(f"[pso] objective: unknown objective {objective!r}")
-    pso = _build(PsoConfig, "pso", pso_keys)
+    pso = _build(PsoConfig, "pso", _read(parser, "pso", PsoConfig))
 
     eval_cfg = EvalConfig(**_read(parser, "eval", EvalConfig))
     if eval_cfg.n_np_samples < MIN_NP_ROC_SAMPLES:
@@ -223,22 +209,25 @@ def load_config(path) -> RunConfig:
     if train.batch_size > smallest_split:
         raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")
 
-    seeds = Seeds(**{key: _get(parser, "seeds", key, int) for key in SECTIONS["seeds"][Seeds]})
+    seeds = _build(Seeds, "seeds",
+                   {key: _get(parser, "seeds", key, int) for key in SECTIONS["seeds"][Seeds]})
 
-    output = {}
-    if parser.has_option("output", "directory"):
-        output["output_dir"] = _get(parser, "output", "directory", str)
-    return RunConfig(
-        scenario=scenario, placement=placement, pso=pso, objective=objective,
-        eval=eval_cfg, sweep=sweep, seeds=seeds, **output,
+    cfg = RunConfig(
+        scenario=scenario, placement=placement, pso=pso, eval=eval_cfg, sweep=sweep, seeds=seeds,
+        **_read(parser, "pso", RunConfig), **_read(parser, "output", RunConfig),
     )
+    if cfg.objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
+        raise ConfigError(f"[pso] objective: unknown objective {cfg.objective!r}")
+    return cfg
 
 
-def build_scenario(cfg: ScenarioConfig):
-    """Instantiate the scenario object a config section describes."""
+def _build_scenario(cfg: ScenarioConfig):
+    """The scenario object the [scenario] section describes."""
     try:
         if cfg.kind == SCENARIO_STREET:
             return StreetScenario.default(cfg.map_side, cfg.building_side, cfg.street_width)
-        return CircularScenario.default(cfg.r_out, cfg.roi_width, cfg.roi_height, cfg.r_min)
+        if cfg.kind == SCENARIO_CIRCULAR:
+            return CircularScenario.default(cfg.r_out, cfg.roi_width, cfg.roi_height, cfg.r_min)
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from None
+    raise ConfigError(f"[scenario] kind: unknown scenario {cfg.kind!r}")

@@ -33,11 +33,12 @@ from .mlp import TrainConfig, default_layer_sizes, forward, init_mlp, train
 
 OBJECTIVE_CE = "ce"
 OBJECTIVE_AUC = "auc"
-OBJECTIVES = (OBJECTIVE_CE, OBJECTIVE_AUC)
 
 
 @dataclass(frozen=True)
 class PsoConfig:
+    """Swarm size, constriction constants (Clerc and Kennedy 2002) and stopping rule."""
+
     n_particles: int = 6
     inertia: float = 0.7298
     c1: float = 1.4961
@@ -45,7 +46,6 @@ class PsoConfig:
     max_iterations: int = 50
     stall_iterations: int = 5
     stall_tolerance: float = 1e-4
-    objective: str = OBJECTIVE_CE
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -55,8 +55,6 @@ class PsoConfig:
             raise ValueError("inertia and accelerations must be non-negative")
         if self.max_iterations < 0 or self.stall_iterations < 1:
             raise ValueError("invalid iteration limits")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,8 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
     """PSO over n_bs base-station positions on the scenario map, for
     searches run in lockstep on one evaluation config.
 
-    searches holds one (PsoConfig, Generator) pair per search, whose
-    objective is pso.objective: training CE or test AUC.  initial_positions,
+    searches holds one (objective, PsoConfig, Generator) per search; the
+    objective is "ce" (training CE) or "auc" (test AUC).  initial_positions,
     if given, holds one start (or None) per search.  The fields are drawn
     once and each distinct placement is evaluated once, whichever search
     reaches it: every sweep, the not yet seen placements of all running
@@ -223,13 +221,15 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
     per search the swarm result and the test AUC of the best placement at
     every iteration, each as if the search had run alone.
     """
+    if any(objective not in (OBJECTIVE_CE, OBJECTIVE_AUC) for objective, _, _ in searches):
+        raise ValueError(f"objective must be {OBJECTIVE_CE!r} or {OBJECTIVE_AUC!r}")
     fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
     starts = [None] * len(searches) if initial_positions is None else initial_positions
     swarms = [_swarm(bounds, 2 * scenario.n_bs, pso, rng, x0)
-              for (pso, rng), x0 in zip(searches, starts, strict=True)]
+              for (_, pso, rng), x0 in zip(searches, starts, strict=True)]
     sweeps = {i: next(search) for i, search in enumerate(swarms)}
     results = [None] * len(swarms)
     while sweeps:
@@ -241,7 +241,7 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
                          in zip(new, evaluate_placement(scenario, fields, cfg, placements)))
         for i, xs in list(sweeps.items()):
             try:
-                sweeps[i] = swarms[i].send([cache[x.tobytes()][searches[i][0].objective] for x in xs])
+                sweeps[i] = swarms[i].send([cache[x.tobytes()][searches[i][0]] for x in xs])
             except StopIteration as stop:
                 results[i] = stop.value
                 del sweeps[i]
@@ -251,15 +251,15 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
 def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
                    stage2: PsoConfig, rng: np.random.Generator
                    ) -> tuple[tuple[PsoResult, list[float]], tuple[PsoResult, list[float]]]:
-    """A search with stage1's objective (CE in the paper), refined by one
-    with stage2's (AUC); returns both plan_placement results.
+    """A CE search with stage1's swarm settings, refined by an AUC search
+    with stage2's, as in the paper; returns both plan_placement results.
 
     Stage two starts with one particle at the stage-one best placement and
     the rest jittered around it (sigma = map extent / 20, clamped).
     """
-    [(result1, aucs1)] = plan_placement(scenario, cfg, [(stage1, rng)])
+    [(result1, aucs1)] = plan_placement(scenario, cfg, [(OBJECTIVE_CE, stage1, rng)])
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
     seeds = np.tile(result1.best_x, (stage2.n_particles, 1))
     seeds[1:] += rng.normal(0.0, sigma, size=seeds[1:].shape)
-    return (result1, aucs1), plan_placement(scenario, cfg, [(stage2, rng)], [seeds])[0]
+    return (result1, aucs1), plan_placement(scenario, cfg, [(OBJECTIVE_AUC, stage2, rng)], [seeds])[0]

@@ -27,6 +27,23 @@ REGION_INSIDE = "inside"
 REGION_OUTSIDE = "outside"
 _REGIONS = (REGION_INSIDE, REGION_OUTSIDE)
 
+SCENARIO_STREET = "street"
+SCENARIO_CIRCULAR = "circular"
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The [scenario] keys; the geometry values are the two layouts' defaults."""
+
+    kind: str = SCENARIO_STREET
+    map_side: float = 525.0
+    building_side: float = 255.0
+    street_width: float = 15.0
+    r_out: float = 40.0
+    roi_width: float = 25.0
+    roi_height: float = 25.0
+    r_min: float = 4.0
+
 
 class Position(NamedTuple):
     """2-D point on the map plane, in meters."""
@@ -151,9 +168,10 @@ class StreetScenario:
                 raise ValueError(f"base station outside the map: {p}")
 
     @classmethod
-    def default(cls, map_side=525.0, building_side=255.0, street_width=15.0) -> "StreetScenario":
-        """Scenario with the standard urban layout: 525 m map, 255 m buildings,
-        15 m streets, five base stations (one per street arm plus map center).
+    def default(cls, map_side=ScenarioConfig.map_side, building_side=ScenarioConfig.building_side,
+                street_width=ScenarioConfig.street_width) -> "StreetScenario":
+        """Scenario with ScenarioConfig's standard urban layout and five base
+        stations (one per street arm plus map center).
 
         The ROI is the quadrant of the lower-left building closest to the
         map center.
@@ -220,7 +238,9 @@ class CircularScenario:
             raise ValueError("roi must lie entirely inside the outer circle")
 
     @classmethod
-    def default(cls, r_out=40.0, roi_width=25.0, roi_height=25.0, r_min=4.0) -> "CircularScenario":
+    def default(cls, r_out=ScenarioConfig.r_out, roi_width=ScenarioConfig.roi_width,
+                roi_height=ScenarioConfig.roi_height, r_min=ScenarioConfig.r_min
+                ) -> "CircularScenario":
         """ROI anchored with its near edge centered on the +x axis, so the
         nearest ROI point to the base station is (r_min, 0)."""
         roi = Rectangle(r_min, -0.5 * roi_height, r_min + roi_width, 0.5 * roi_height)

@@ -213,8 +213,7 @@ def _placement_search(objectives, k: int, s_total: int, epochs: int, max_iterati
     # plan_placement searches the map's bounds, (0, 0) to (525, 525)
     assert scenario.bounds == (0.0, 0.0, 525.0, 525.0)
     runs = plan_placement(scenario, eval_cfg, [
-        (PsoConfig(max_iterations=max_iterations, objective=objective),
-         np.random.default_rng(3000 + k))
+        (objective, PsoConfig(max_iterations=max_iterations), np.random.default_rng(3000 + k))
         for objective in objectives
     ])
     return {objective: (result, best_aucs[-1])

@@ -9,7 +9,7 @@ import pytest
 
 from irlv.channel import ChannelParams, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
-from irlv.config import build_scenario, load_config
+from irlv.config import load_config
 from irlv.errors import NumericError
 
 CIRCULAR = """\
@@ -230,7 +230,7 @@ class TestField:
         np.testing.assert_allclose(rows[0, 2], 64.0)
 
         loaded = np.loadtxt(out / "field_bs0.csv", delimiter=",")
-        scenario = build_scenario(load_config(cfg).scenario)
+        scenario = load_config(cfg).scenario
         regenerated = generate_fields(scenario, ChannelParams(sigma_s_db=8.0), 0)[0]
         np.testing.assert_array_equal(loaded, regenerated.values)
 
@@ -291,6 +291,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: [dataset] p0: 0.0001 of 200 samples leaves one class without rows\n"
         )
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("kind = circular", "kind = street\nmap_side = 500",
+         "[scenario] inconsistent geometry: 2*building_side + street_width must equal map_side"),
+        ("sigma_s_db = 0.0", "sigma_s_db = nan", "[channel] sigma_s_db: must be finite"),
+        ("field = 0", "field = -1", "[seeds] field: -1 is below 0"),
+    ], ids=["street-geometry", "non-finite", "negative-seed"])
+    def test_bad_value_is_config_error_before_any_output(self, tmp_path, capsys, old, new, message):
+        cfg = write_cfg(tmp_path, CIRCULAR.replace(old, new))
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_offset_below_a_seed_is_config_error(self, tmp_path, capsys):
+        """The offset may lower the seeds, but not below 0; the manifest
+        of an allowed shift records the config's own seeds."""
+        cfg = write_cfg(tmp_path, CIRCULAR.replace("field = 0", "field = 5"))
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", -2]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --seed-offset -2: shifted [seeds] dataset: -1 is below 0\n"
+        )
+        assert not (tmp_path / "o").exists()
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", -1]) == 0
+        assert read_manifest(tmp_path / "o")["seeds"] == {"field": 5, "dataset": 1, "init": 2,
+                                                         "pso": 3}
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -1,17 +1,17 @@
 """Config parsing: strict keys, named errors, scenario construction."""
 
+import configparser
 import dataclasses
 
 import pytest
 
 from irlv.config import (
+    SECTIONS,
     ConfigError,
     EvalConfig,
     RunConfig,
-    ScenarioConfig,
     Seeds,
     SweepConfig,
-    build_scenario,
     default_config_path,
     load_config,
 )
@@ -28,6 +28,16 @@ pso = 3
 """
 
 
+# every (section, key) that SECTIONS reads as a float
+FLOAT_KEYS = [
+    (section, f.name)
+    for section, keys in SECTIONS.items()
+    for cls, names in keys.items()
+    for f in dataclasses.fields(cls)
+    if f.name in names and type(f.default) is float
+]
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -37,7 +47,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 class TestLoadConfig:
     def test_minimal_config_gets_standard_defaults(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        assert cfg.scenario.kind == "street"
+        assert isinstance(cfg.scenario, StreetScenario)
         assert cfg.placement.channel.f0_hz == 2.12e9
         assert cfg.placement.channel.sigma_s_db == 8.0
         assert cfg.placement.channel.d_c_m == 75.0
@@ -50,23 +60,33 @@ class TestLoadConfig:
         assert cfg.seeds == Seeds(0, 1, 2, 3)
         # every absent key takes its dataclass default
         assert cfg == RunConfig(
-            scenario=ScenarioConfig(), placement=PlacementEvalConfig(), pso=PsoConfig(),
-            objective=PsoConfig().objective, eval=EvalConfig(), sweep=SweepConfig(),
-            seeds=Seeds(0, 1, 2, 3),
+            scenario=StreetScenario.default(), placement=PlacementEvalConfig(), pso=PsoConfig(),
+            eval=EvalConfig(), sweep=SweepConfig(), seeds=Seeds(0, 1, 2, 3),
         )
+        assert (cfg.objective, cfg.directory) == ("ce", "runs")
 
     def test_shipped_config_loads(self):
         """paper.cfg writes out the dataclass defaults; it differs only where
         it plans with both objectives and sweeps several sizes."""
         cfg = load_config(default_config_path())
-        assert cfg.objective == "both" != PsoConfig().objective
+        assert cfg.objective == "both" != RunConfig.objective
         sweep = dataclasses.replace(
             SweepConfig(), n_hidden=(2, 4, 8, 16), s_total=(1_000, 10_000, 100_000)
         )
         assert cfg == RunConfig(
-            scenario=ScenarioConfig(), placement=PlacementEvalConfig(), pso=PsoConfig(),
-            objective="both", eval=EvalConfig(), sweep=sweep, seeds=Seeds(0, 1, 2, 3),
+            scenario=StreetScenario.default(), placement=PlacementEvalConfig(), pso=PsoConfig(),
+            eval=EvalConfig(), sweep=sweep, seeds=Seeds(0, 1, 2, 3), objective="both",
         )
+
+    def test_shipped_config_writes_out_every_key(self):
+        """A key paper.cfg left out at its default value would still load
+        equal to the defaults, so its presence is checked on its own."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(default_config_path())
+        missing = [f"[{section}] {key}" for section, keys in SECTIONS.items()
+                   for names in keys.values() for key in names
+                   if not parser.has_option(section, key)]
+        assert missing == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -144,11 +164,23 @@ class TestLoadConfig:
     def test_seed_shift(self):
         assert Seeds(0, 1, 2, 3).shifted(10) == Seeds(10, 11, 12, 13)
 
+    def test_negative_seed_named_by_key(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL.replace("dataset = 1", "dataset = -1"))
+        with pytest.raises(ConfigError, match=r"^\[seeds\] dataset: -1 is below 0$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}-{k}" for s, k in FLOAT_KEYS])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_named_by_key(self, tmp_path, section, key, value):
+        path = write_cfg(tmp_path, MINIMAL + f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be finite$"):
+            load_config(path)
+
 
 class TestBuildScenario:
     def test_street(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        scenario = build_scenario(cfg.scenario)
+        scenario = cfg.scenario
         assert isinstance(scenario, StreetScenario)
         assert scenario.map_side == 525.0
         assert scenario.n_bs == 5
@@ -157,12 +189,12 @@ class TestBuildScenario:
         path = write_cfg(
             tmp_path, MINIMAL + "[scenario]\nkind = circular\nr_out = 60.0\n"
         )
-        scenario = build_scenario(load_config(path).scenario)
+        scenario = load_config(path).scenario
         assert isinstance(scenario, CircularScenario)
         assert scenario.r_out == 60.0
         assert scenario.r_min == 4.0
 
     def test_inconsistent_street_geometry(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "[scenario]\nmap_side = 500.0\n")
-        with pytest.raises(ConfigError, match=r"\[scenario\]"):
-            build_scenario(load_config(path).scenario)
+        with pytest.raises(ConfigError, match=r"^\[scenario\] inconsistent geometry: .*map_side$"):
+            load_config(path)

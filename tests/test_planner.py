@@ -1,6 +1,5 @@
 """Swarm search tests: kinematics, bookkeeping, and placement objectives."""
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ class TestPsoConfig:
             PsoConfig(n_particles=0)
         with pytest.raises(ValueError):
             PsoConfig(inertia=-0.1)
-        with pytest.raises(ValueError):
-            PsoConfig(objective="accuracy")
         PsoConfig(inertia=0.0, c1=0.0, c2=0.0)  # frozen swarm is legal
 
 
@@ -309,17 +306,18 @@ class TestEvaluatePlacement:
         scenario = DiscRoiScenario()
         score = _score(scenario, [30.0, 70.0], FAST_EVAL)
         for objective, expected in ((OBJECTIVE_CE, score.ce_bits), (OBJECTIVE_AUC, score.auc_value)):
-            pso = PsoConfig(n_particles=1, max_iterations=0, objective=objective)
-            [(result, aucs)] = plan_placement(scenario, FAST_EVAL, [(pso, np.random.default_rng(0))],
+            pso = PsoConfig(n_particles=1, max_iterations=0)
+            [(result, aucs)] = plan_placement(scenario, FAST_EVAL,
+                                              [(objective, pso, np.random.default_rng(0))],
                                               initial_positions=[[[30.0, 70.0]]])
             assert result.history == [expected]
             assert aucs == [score.auc_value]
         assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="objective must be 'ce' or 'auc'"):
             plan_placement(DiscRoiScenario(), FAST_EVAL,
-                           [(PsoConfig(objective="f1"), np.random.default_rng(0))])
+                           [("f1", PsoConfig(), np.random.default_rng(0))])
 
 
 class TestPlanPlacement:
@@ -345,13 +343,15 @@ class TestPlanPlacement:
             for y in grid
         )
         pso = PsoConfig(n_particles=5, max_iterations=40, stall_iterations=8)
-        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(1))])
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL,
+                                       [(OBJECTIVE_CE, pso, np.random.default_rng(1))])
         assert result.best_value <= grid_best * 1.05 + 1e-3
 
     def test_history_monotone(self):
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=4, stall_iterations=2)
-        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(2))])
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL,
+                                       [(OBJECTIVE_CE, pso, np.random.default_rng(2))])
         assert all(b <= a for a, b in zip(result.history, result.history[1:]))
 
     def test_fields_drawn_once_per_run(self, monkeypatch):
@@ -366,7 +366,8 @@ class TestPlanPlacement:
         monkeypatch.setattr("irlv.planner.generate_fields", counting)
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
-        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL, [(pso, np.random.default_rng(5))])
+        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL,
+                                          [(OBJECTIVE_CE, pso, np.random.default_rng(5))])
         assert len(calls) == 1
         assert len(result.particle_values) == 4  # 12 evaluated placements
         assert aucs == [_score(scenario, x, self.GRID_EVAL).auc_value
@@ -387,8 +388,8 @@ class TestPlanPlacement:
         starts = [[-5.0, -5.0], [30.0, 70.0], [-1.0, -20.0]]  # first and last clamp to (0, 0)
         frozen = PsoConfig(n_particles=3, inertia=0.0, c1=0.0, c2=0.0, max_iterations=2,
                            stall_iterations=3)
-        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL,
-                                          [(frozen, np.random.default_rng(6))], [starts])
+        [(result, aucs)] = plan_placement(
+            scenario, self.GRID_EVAL, [(OBJECTIVE_CE, frozen, np.random.default_rng(6))], [starts])
         assert len(evaluated) == 1
         np.testing.assert_array_equal(evaluated[0], [[[0.0, 0.0]], [[30.0, 70.0]]])
         first = result.particle_values[0]
@@ -399,7 +400,7 @@ class TestPlanPlacement:
         evaluated.clear()
         moving = PsoConfig(n_particles=4, max_iterations=3, stall_iterations=3)
         [(result, _)] = plan_placement(
-            scenario, self.GRID_EVAL, [(moving, np.random.default_rng(7))],
+            scenario, self.GRID_EVAL, [(OBJECTIVE_CE, moving, np.random.default_rng(7))],
             [[[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]]])
         rows = np.concatenate(evaluated).reshape(-1, 2)
         assert len(evaluated) <= len(result.particle_values)
@@ -415,7 +416,7 @@ class TestPlanPlacement:
         )
         pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
         [(result, aucs)] = plan_placement(StreetScenario.default(), cfg,
-                                          [(pso, np.random.default_rng(4))])
+                                          [(OBJECTIVE_CE, pso, np.random.default_rng(4))])
         assert result.best_x.tolist() == [
             361.44679889744697, 502.71430949679916, 74.08427538609698, 47.31142273563954,
             325.31428755077013, 282.42657073891803, 110.71465159089689, 503.23712531957375,
@@ -431,9 +432,8 @@ class TestPlanPlacement:
     def test_two_stage_refinement(self):
         scenario = DiscRoiScenario()
         stage1 = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
-        stage2 = dataclasses.replace(stage1, objective=OBJECTIVE_AUC)
         (result1, aucs1), (result2, aucs2) = plan_two_stage(
-            scenario, self.GRID_EVAL, stage1, stage2, np.random.default_rng(3))
+            scenario, self.GRID_EVAL, stage1, stage1, np.random.default_rng(3))
         assert len(aucs1) == len(result1.history)
         # stage 2's first particle sits at the stage-1 best, scored in AUC units
         assert result2.particle_values[0][0] == aucs1[-1]
@@ -454,8 +454,8 @@ class TestLockstep:
 
     @staticmethod
     def _searches(ce, auc_cfg):
-        return [(dataclasses.replace(ce, objective=OBJECTIVE_CE), np.random.default_rng(4)),
-                (dataclasses.replace(auc_cfg, objective=OBJECTIVE_AUC), np.random.default_rng(4))]
+        return [(OBJECTIVE_CE, ce, np.random.default_rng(4)),
+                (OBJECTIVE_AUC, auc_cfg, np.random.default_rng(4))]
 
     @pytest.mark.parametrize("ce, auc_cfg", [
         (PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3),) * 2,
