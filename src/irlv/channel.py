@@ -47,12 +47,11 @@ class ChannelParams:
     grid_spacing_m: float = 5.0
 
     def __post_init__(self):
-        if self.f0_hz <= 0 or self.d_c_m <= 0 or self.h_ap_m <= 0 or self.c_m_s <= 0:
-            raise ValueError("channel constants must be strictly positive")
+        for key in ("f0_hz", "d_c_m", "h_ap_m", "c_m_s", "grid_spacing_m"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key}: must be strictly positive")
         if self.sigma_s_db < 0:
-            raise ValueError("sigma_s_db must be non-negative")
-        if self.grid_spacing_m <= 0:
-            raise ValueError("grid_spacing_m must be strictly positive")
+            raise ValueError("sigma_s_db: must be non-negative")
         if self.grid_spacing_m > self.d_c_m / 5.0:
             raise ValueError(
                 f"grid_spacing_m: grid too coarse for d_c: {self.grid_spacing_m:g} m is above "

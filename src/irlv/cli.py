@@ -58,10 +58,13 @@ def _map_jobs(fn, payloads, jobs: int):
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(*p) for p in payloads]
     # imported here, so a serial run never loads the process pool's modules
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # the fork start method launches every worker at the first submit
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+    # forkserver, Python 3.14's default: from 3.12 on, forking a process that
+    # runs threads (OpenBLAS starts some) raises a DeprecationWarning
+    context = multiprocessing.get_context("forkserver")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads)), mp_context=context) as pool:
         futures = [pool.submit(fn, *p) for p in payloads]
         return [f.result() for f in futures]
 

@@ -36,6 +36,14 @@ class EvalConfig:
     n_thetas: int = 200
     resolution_rad: float = 1e-4
 
+    def __post_init__(self):
+        if self.n_np_samples < MIN_NP_ROC_SAMPLES:
+            raise ValueError(f"n_np_samples: need at least {MIN_NP_ROC_SAMPLES}")
+        if self.n_thetas < 2:
+            raise ValueError("n_thetas: need at least 2 thresholds")
+        if not 0.0 < self.resolution_rad <= MAX_RESOLUTION_RAD:
+            raise ValueError(f"resolution_rad: must lie in (0, {MAX_RESOLUTION_RAD:g}] rad")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -43,6 +51,15 @@ class SweepConfig:
     s_total: tuple[int, ...] = (PlacementEvalConfig.s_total,)
     n_seeds: int = 5
     n_field_realizations: int = 500
+
+    def __post_init__(self):
+        for key in ("n_seeds", "n_field_realizations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be at least 1")
+        if min(self.n_hidden, default=0) < 1:
+            raise ValueError("n_hidden: every width must be at least 1")
+        if min(self.s_total, default=0) < 2:
+            raise ValueError("s_total: every sample count must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,10 @@ class RunConfig:
     seeds: Seeds
     objective: str = OBJECTIVE_CE  # [pso] objective: ce, auc, or both
     directory: str = "runs"  # [output] directory
+
+    def __post_init__(self):
+        if self.objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
+            raise ValueError(f"objective: unknown objective {self.objective!r}")
 
 
 def _names(cls, *skip: str) -> tuple[str, ...]:
@@ -118,13 +139,15 @@ def _get(parser, section: str, key: str, kind):
     return _parse(parser.get(section, key), section, key, kind)
 
 
-def _build(cls, section: str, keys: dict):
-    """cls(**keys), its own validation errors named by section (the keys
-    were read beforehand, so read errors are not named twice)."""
+def _build(cls, keys: dict):
+    """cls(**keys), its "key: ..." validation error prefixed by the section
+    SECTIONS lists the key in for cls, or else for the class that owns it."""
     try:
         return cls(**keys)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        key = str(exc).partition(":")[0]
+        owners = {c: s for s, classes in SECTIONS.items() for c, names in classes.items() if key in names}
+        raise ConfigError(f"[{owners.get(cls) or next(iter(owners.values()))}] {exc}") from None
 
 
 def _read(parser, section: str, cls) -> dict:
@@ -161,64 +184,27 @@ def load_config(path) -> RunConfig:
         if unknown:
             raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
-    scenario = _build_scenario(ScenarioConfig(**_read(parser, "scenario", ScenarioConfig)))
-
-    channel = _build(ChannelParams, "channel", _read(parser, "channel", ChannelParams))
-    train = _build(TrainConfig, "nn", _read(parser, "nn", TrainConfig))
-    placement = PlacementEvalConfig(
-        channel=channel, train=train,
-        **_read(parser, "nn", PlacementEvalConfig),
-        **_read(parser, "dataset", PlacementEvalConfig),
-    )
-    if placement.n_hidden < 1 or placement.n_layers < 1:
-        raise ConfigError("[nn] n_hidden/n_layers: must be at least 1")
-    if not 0.0 < placement.p0 < 1.0:
-        raise ConfigError("[dataset] p0: must lie strictly between 0 and 1")
-    if not 0.0 < placement.train_frac < 1.0:
-        raise ConfigError("[dataset] train_frac: must lie strictly between 0 and 1")
-
-    pso = _build(PsoConfig, "pso", _read(parser, "pso", PsoConfig))
-
-    eval_cfg = EvalConfig(**_read(parser, "eval", EvalConfig))
-    if eval_cfg.n_np_samples < MIN_NP_ROC_SAMPLES:
-        raise ConfigError(f"[eval] n_np_samples: need at least {MIN_NP_ROC_SAMPLES}")
-    if eval_cfg.n_thetas < 2:
-        raise ConfigError("[eval] n_thetas: need at least 2 thresholds")
-    if not 0.0 < eval_cfg.resolution_rad <= MAX_RESOLUTION_RAD:
-        raise ConfigError(f"[eval] resolution_rad: must lie in (0, {MAX_RESOLUTION_RAD:g}] rad")
-
-    # the sweep lists default to the single [nn]/[dataset] value
-    sweep = SweepConfig(**{
-        "n_hidden": (placement.n_hidden,), "s_total": (placement.s_total,),
-        **_read(parser, "sweep", SweepConfig),
-    })
-    if sweep.n_seeds < 1 or sweep.n_field_realizations < 1:
-        raise ConfigError("[sweep] n_seeds/n_field_realizations: must be at least 1")
-    if min(sweep.n_hidden) < 1:
-        raise ConfigError("[sweep] n_hidden: every width must be at least 1")
-    if placement.s_total < 2:
-        raise ConfigError("[dataset] s_total: need at least 2 samples")
-    if min(sweep.s_total) < 2:
-        raise ConfigError("[sweep] s_total: every sample count must be at least 2")
-    sizes = sweep.s_total + (placement.s_total,)
-    for s in sizes:  # generate_dataset draws floor(p0 * s) rows inside, the rest outside
-        if math.floor(placement.p0 * s) in (0, s):
-            raise ConfigError(f"[dataset] p0: {placement.p0:g} of {s} samples leaves one "
-                              f"class without rows")
-    smallest_split = int(min(sizes) * placement.train_frac)
-    if train.batch_size > smallest_split:
-        raise ConfigError("[nn] batch_size: exceeds the smallest training split in the sweep")
-
-    seeds = _build(Seeds, "seeds",
-                   {key: _get(parser, "seeds", key, int) for key in SECTIONS["seeds"][Seeds]})
-
-    cfg = RunConfig(
-        scenario=scenario, placement=placement, pso=pso, eval=eval_cfg, sweep=sweep, seeds=seeds,
+    placement_keys = {
+        "channel": _build(ChannelParams, _read(parser, "channel", ChannelParams)),
+        "train": _build(TrainConfig, _read(parser, "nn", TrainConfig)),
+        **_read(parser, "nn", PlacementEvalConfig), **_read(parser, "dataset", PlacementEvalConfig),
+    }
+    sweep_keys = _read(parser, "sweep", SweepConfig)
+    _build(SweepConfig, sweep_keys)
+    # each [sweep] size is a placement config at run time, checked before the [dataset] one
+    for s_total in sweep_keys.get("s_total", ()):
+        _build(PlacementEvalConfig, {**placement_keys, "s_total": s_total})
+    placement = _build(PlacementEvalConfig, placement_keys)
+    return _build(RunConfig, {
+        "scenario": _build_scenario(ScenarioConfig(**_read(parser, "scenario", ScenarioConfig))),
+        "placement": placement, "pso": _build(PsoConfig, _read(parser, "pso", PsoConfig)),
+        "eval": _build(EvalConfig, _read(parser, "eval", EvalConfig)),
+        # the sweep lists default to the single [nn]/[dataset] value
+        "sweep": SweepConfig(**{"n_hidden": (placement.n_hidden,),
+                                "s_total": (placement.s_total,), **sweep_keys}),
+        "seeds": _build(Seeds, {key: _get(parser, "seeds", key, int) for key in _names(Seeds)}),
         **_read(parser, "pso", RunConfig), **_read(parser, "output", RunConfig),
-    )
-    if cfg.objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
-        raise ConfigError(f"[pso] objective: unknown objective {cfg.objective!r}")
-    return cfg
+    })
 
 
 def _build_scenario(cfg: ScenarioConfig):

@@ -201,11 +201,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError("learning_rate: must be positive")
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise ValueError("epochs: must be non-negative")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ValueError("batch_size: must be at least 1")
 
 
 def _raise_if_diverged(finite: np.ndarray, epoch: int) -> None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import path_loss_los_db
 from .evaluation import RocCurve
 from .scenario import REGION_INSIDE, REGION_OUTSIDE, CircularScenario
 
@@ -144,15 +143,20 @@ def llr(a_db, geometry: SectorGeometry, params):
     Geometric certainty (alpha = 0 or 2*pi) maps to the +/-1024-bit
     sentinels so threshold sweeps stay totally ordered.
     """
-    r = np.atleast_1d(radius_from_attenuation(a_db, params))
-    al = np.atleast_1d(alpha(r, geometry))
-    out = np.full(r.shape, -LLR_SENTINEL_BITS)
+    out = _llr_of_alpha(alpha(np.atleast_1d(radius_from_attenuation(a_db, params)), geometry),
+                        geometry)
+    return float(out[0]) if np.asarray(a_db).ndim == 0 else out
+
+
+def _llr_of_alpha(al: np.ndarray, geometry: SectorGeometry) -> np.ndarray:
+    """llr's value from the angular measure alpha of each distance."""
+    out = np.full(al.shape, -LLR_SENTINEL_BITS)
     out[al >= TWO_PI] = LLR_SENTINEL_BITS
     interior = (al > 0.0) & (al < TWO_PI)
     out[interior] = np.log2(
         geometry.area_a1 * al[interior] / (geometry.area_a0 * (TWO_PI - al[interior]))
     )
-    return float(out[0]) if np.asarray(a_db).ndim == 0 else out
+    return out
 
 
 def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
@@ -162,7 +166,10 @@ def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
     Draws n_samples positions uniformly from each region, scores their
     noiseless LOS attenuations, and estimates (P_FA, P_MD) per theta.  The
     grid is extended with theta = 0 and theta = inf so the curve reaches
-    both endpoints.
+    both endpoints.  The noiseless LOS attenuation is a monotone function of
+    the distance, so the test scores the distance itself and params does
+    not enter; a position nearer than c / (4*pi*f0), whose attenuation
+    llr refuses, gets its LLR too.
     """
     if n_samples < MIN_NP_ROC_SAMPLES:
         raise ValueError(f"need at least {MIN_NP_ROC_SAMPLES} samples per region")
@@ -173,8 +180,7 @@ def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
     llr_by_label = []
     for region in (REGION_INSIDE, REGION_OUTSIDE):
         xy = scenario.sample_region(region, rng, n_samples)
-        a_db = path_loss_los_db(np.hypot(xy[:, 0], xy[:, 1]), params)
-        llr_by_label.append(np.sort(llr(a_db, geometry, params)))
+        llr_by_label.append(np.sort(_llr_of_alpha(alpha(np.hypot(*xy.T), geometry), geometry)))
     llr0, llr1 = llr_by_label
     grid = np.concatenate([[0.0], thetas, [np.inf]])
     with np.errstate(divide="ignore"):

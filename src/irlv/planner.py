@@ -48,13 +48,13 @@ class PsoConfig:
     stall_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
+        for key in ("n_particles", "stall_iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be at least 1")
         # zero inertia/acceleration freezes the swarm, still a valid run
-        if self.inertia < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError("inertia and accelerations must be non-negative")
-        if self.max_iterations < 0 or self.stall_iterations < 1:
-            raise ValueError("invalid iteration limits")
+        for key in ("inertia", "c1", "c2", "max_iterations"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key}: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,21 @@ class PlacementEvalConfig:
     field_seed: int = 0
     dataset_seed: int = 1
     init_seed: int = 2
+
+    def __post_init__(self):
+        for key in ("n_hidden", "n_layers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be at least 1")
+        for key in ("p0", "train_frac"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise ValueError(f"{key}: must lie strictly between 0 and 1")
+        if self.s_total < 2:
+            raise ValueError("s_total: need at least 2 samples")
+        # generate_dataset draws floor(p0 * s_total) rows inside, the rest outside
+        if int(self.p0 * self.s_total) in (0, self.s_total):
+            raise ValueError(f"p0: {self.p0:g} of {self.s_total} samples leaves one class without rows")
+        if self.train.batch_size > int(self.s_total * self.train_frac):
+            raise ValueError(f"batch_size: exceeds the training split of {self.s_total} samples")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,13 @@ class Rectangle:
         return xy
 
 
+def _check_positive(**lengths) -> None:
+    """Reject a length that is not above 0, by its [scenario] key."""
+    for key, value in lengths.items():
+        if value <= 0:
+            raise ValueError(f"{key}: must be positive")
+
+
 def _rejection_sample(bbox, accept, rng, size):
     """Uniform samples over an acceptance region inside a bounding box.
 
@@ -149,6 +156,7 @@ class StreetScenario:
     bs_positions: tuple[Position, ...]
 
     def __post_init__(self):
+        _check_positive(building_side=self.building_side, street_width=self.street_width)
         if not math.isclose(
             2.0 * self.building_side + self.street_width, self.map_side, rel_tol=1e-9
         ):
@@ -176,6 +184,7 @@ class StreetScenario:
         The ROI is the quadrant of the lower-left building closest to the
         map center.
         """
+        _check_positive(building_side=building_side)  # before the ROI below refuses it unnamed
         b, w = building_side, street_width
         mid = b + 0.5 * w  # street center line
         bs_positions = (
@@ -232,8 +241,7 @@ class CircularScenario:
     roi: Rectangle
 
     def __post_init__(self):
-        if self.r_out <= 0:
-            raise ValueError("r_out must be positive")
+        _check_positive(r_out=self.r_out)
         if self.r_max > self.r_out:
             raise ValueError("roi must lie entirely inside the outer circle")
 
@@ -243,6 +251,7 @@ class CircularScenario:
                 ) -> "CircularScenario":
         """ROI anchored with its near edge centered on the +x axis, so the
         nearest ROI point to the base station is (r_min, 0)."""
+        _check_positive(roi_width=roi_width, roi_height=roi_height)
         roi = Rectangle(r_min, -0.5 * roi_height, r_min + roi_width, 0.5 * roi_height)
         return cls(r_out, roi)
 

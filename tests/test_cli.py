@@ -1,5 +1,6 @@
 """End-to-end driver runs on desk-size configs: files, hashes, exit codes."""
 
+import configparser
 import json
 import warnings
 from concurrent.futures import Future
@@ -9,7 +10,7 @@ import pytest
 
 from irlv.channel import ChannelParams, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
-from irlv.config import load_config
+from irlv.config import SECTIONS, load_config
 from irlv.errors import NumericError
 
 CIRCULAR = """\
@@ -57,6 +58,31 @@ pso = 3
 
 
 STREET = CIRCULAR.replace("kind = circular", "kind = street")
+
+# one out-of-range value per (section, key) that a rule of its own checks;
+# the [scenario] street lengths go into STREET, everything else into CIRCULAR
+SINGLE_KEY_CASES = [
+    ("scenario", "kind", "donut"), ("scenario", "building_side", "-1"),
+    ("scenario", "street_width", "0"), ("scenario", "r_out", "-1"),
+    ("scenario", "roi_width", "0"), ("scenario", "roi_height", "-1"),
+    ("channel", "f0_hz", "0"), ("channel", "sigma_s_db", "-1"), ("channel", "d_c_m", "0"),
+    ("channel", "h_ap_m", "-1"), ("channel", "grid_spacing_m", "-1"),
+    ("nn", "n_hidden", "0"), ("nn", "n_layers", "0"), ("nn", "learning_rate", "0"),
+    ("nn", "epochs", "-1"), ("nn", "batch_size", "0"),
+    ("dataset", "s_total", "1"), ("dataset", "p0", "1.5"), ("dataset", "train_frac", "0"),
+    ("pso", "n_particles", "0"), ("pso", "inertia", "-1"), ("pso", "c1", "-1"),
+    ("pso", "c2", "-1"), ("pso", "max_iterations", "-1"), ("pso", "stall_iterations", "0"),
+    ("pso", "objective", "f1"),
+    ("eval", "n_np_samples", "9999"), ("eval", "n_thetas", "1"), ("eval", "resolution_rad", "0.01"),
+    ("sweep", "n_hidden", "0"), ("sweep", "s_total", "1"), ("sweep", "n_seeds", "0"),
+    ("sweep", "n_field_realizations", "0"),
+    ("seeds", "field", "-1"), ("seeds", "dataset", "-1"), ("seeds", "init", "-1"),
+    ("seeds", "pso", "-1"),
+]
+# keys that take any value of their type: the street's map_side is checked
+# with the other two lengths, and the rest have no range
+RULE_FREE_KEYS = {("scenario", "map_side"), ("scenario", "r_min"), ("pso", "stall_tolerance"),
+                  ("output", "directory")}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -118,13 +144,13 @@ class TestRoc:
             assert read_manifest(a)["outputs"] == read_manifest(b)["outputs"]
 
     def test_jobs_clamped_to_task_count(self, monkeypatch):
-        """No more workers than tasks: the fork start method would launch
-        all of them at the first submit.  An inline pool records the count."""
+        """No more workers than tasks, started by the forkserver.  An inline
+        pool records the count and the start method."""
         requested = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                requested.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -140,7 +166,7 @@ class TestRoc:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         assert _map_jobs(pow, [(2, 3), (3, 2), (2, 5)], 64) == [8, 9, 32]
         assert _map_jobs(pow, [(2, 3), (3, 2)], 1) == [8, 9]
-        assert requested == [3]
+        assert requested == [(3, "forkserver")]
 
     def test_seed_offset_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULAR)
@@ -165,6 +191,14 @@ class TestNpCompare:
         }
         assert 0.0 <= summary["max_vertical_gap"] <= 1.0
         assert summary["auc_np"] <= 0.5
+
+    def test_oracle_sample_at_the_base_station(self, tmp_path):
+        """At dataset seed 85 one of the 100,000 outside positions lies
+        6.7 mm from the base station, nearer than the free-space minimum
+        c / (4*pi*f0) = 11 mm; the oracle scores it like any other."""
+        text = CIRCULAR.replace("dataset = 1", "dataset = 85")
+        cfg = write_cfg(tmp_path, text.replace("n_np_samples = 10000", "n_np_samples = 100000"))
+        assert run(["np-compare", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
     def test_street_scenario_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULAR.replace("kind = circular", "kind = street"))
@@ -303,6 +337,23 @@ class TestExitCodes:
         assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value", SINGLE_KEY_CASES,
+                             ids=[f"{s}-{k}" for s, k, _ in SINGLE_KEY_CASES])
+    def test_single_key_rule_names_its_key(self, tmp_path, capsys, section, key, value):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(STREET if key in ("building_side", "street_width") else CIRCULAR)
+        parser.set(section, key, value)
+        with open(tmp_path / "run.cfg", "w") as f:
+            parser.write(f)
+        assert run(["field", "--config", tmp_path / "run.cfg", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_every_key_with_a_rule_has_a_case(self):
+        keys = {(section, key) for section, classes in SECTIONS.items()
+                for names in classes.values() for key in names}
+        assert keys - {(s, k) for s, k, _ in SINGLE_KEY_CASES} == RULE_FREE_KEYS
 
     def test_seed_offset_below_a_seed_is_config_error(self, tmp_path, capsys):
         """The offset may lower the seeds, but not below 0; the manifest

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import re
 
 import pytest
 
@@ -119,8 +120,11 @@ class TestLoadConfig:
          r"^\[dataset\] p0: 0.0001 of 3000 samples leaves one class without rows$"),
         ("[dataset]\np0 = 0.0001\n[sweep]\ns_total = 30000,3000\n",
          r"^\[dataset\] p0: 0.0001 of 3000 samples leaves one class without rows$"),
+        # PlacementEvalConfig raises it, but batch_size is TrainConfig's [nn] key
+        ("[dataset]\ns_total = 100\n",
+         r"^\[nn\] batch_size: exceeds the training split of 100 samples$"),
     ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width",
-            "sweep-size", "dataset-size", "empty-class", "empty-class-in-sweep"])
+            "sweep-size", "dataset-size", "empty-class", "empty-class-in-sweep", "batch-in-split"])
     def test_bad_input_named_by_key(self, tmp_path, text, match):
         path = write_cfg(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=match):
@@ -175,6 +179,33 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, MINIMAL + f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be finite$"):
             load_config(path)
+
+
+class TestTypesCheckTheirOwnKeys:
+    """The rules live in the config types, so a value is refused however
+    the type is built: by load_config, in a test, or by dataclasses.replace."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PlacementEvalConfig(p0=2.0), "p0: must lie strictly between 0 and 1"),
+        (lambda: PlacementEvalConfig(n_layers=0), "n_layers: must be at least 1"),
+        (lambda: PlacementEvalConfig(s_total=200, p0=0.001),
+         "p0: 0.001 of 200 samples leaves one class without rows"),
+        (lambda: dataclasses.replace(PlacementEvalConfig(), s_total=100),
+         "batch_size: exceeds the training split of 100 samples"),
+        (lambda: EvalConfig(n_thetas=1), "n_thetas: need at least 2 thresholds"),
+        (lambda: SweepConfig(n_seeds=0), "n_seeds: must be at least 1"),
+        (lambda: SweepConfig(s_total=()), "s_total: every sample count must be at least 2"),
+        (lambda: RunConfig(scenario=StreetScenario.default(), placement=PlacementEvalConfig(),
+                           pso=PsoConfig(), eval=EvalConfig(), sweep=SweepConfig(),
+                           seeds=Seeds(0, 1, 2, 3), objective="f1"),
+         "objective: unknown objective 'f1'"),
+        (lambda: PsoConfig(stall_iterations=0), "stall_iterations: must be at least 1"),
+        (lambda: TrainConfig(batch_size=0), "batch_size: must be at least 1"),
+    ], ids=["p0", "n_layers", "empty-class", "batch-vs-split", "n_thetas", "n_seeds",
+            "empty-sweep", "objective", "stall", "batch_size"])
+    def test_rule_raises_named_by_key(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestBuildScenario:

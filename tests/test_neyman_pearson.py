@@ -310,3 +310,15 @@ class TestNpRoc:
     def test_informative(self):
         roc = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(4))
         assert auc(roc) < 0.4
+
+    def test_scores_positions_nearer_than_the_free_space_minimum(self):
+        """np_roc scores distances, not attenuations: at f0 = 7 Hz every
+        position lies nearer than c / (4*pi*f0), whose attenuation llr
+        refuses, and the ROC is the one at the standard carrier."""
+        slow = ChannelParams(f0_hz=7.0)
+        with pytest.raises(ValueError, match="free-space minimum"):
+            llr(path_loss_los_db(10.0, slow), GEO, slow)
+        roc = np_roc(GEO, slow, 10_000, self.thetas, np.random.default_rng(5))
+        ref = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(5))
+        np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
+        np.testing.assert_array_equal(roc.p_md, ref.p_md)

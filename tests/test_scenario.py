@@ -76,6 +76,18 @@ class TestStreetScenarioGeometry:
                 bs_positions=(Position(250.0, 262.5),),
             )
 
+    def test_zero_street_width_named_by_key(self):
+        """A zero-width street fits 2*building_side + street_width = map_side
+        but leaves no street to be LOS in."""
+        with pytest.raises(ValueError, match="^street_width: must be positive$"):
+            StreetScenario(
+                map_side=525.0,
+                building_side=262.5,
+                street_width=0.0,
+                roi=Rectangle(131.25, 131.25, 262.5, 262.5),
+                bs_positions=(Position(100.0, 262.5),),
+            )
+
     def test_street_union_area(self):
         """Two crossing streets minus the double-counted intersection.
 
