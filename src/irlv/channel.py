@@ -43,11 +43,10 @@ class ChannelParams:
     sigma_s_db: float = 8.0
     d_c_m: float = 75.0
     h_ap_m: float = 15.0
-    c_m_s: float = SPEED_OF_LIGHT
     grid_spacing_m: float = 5.0
 
     def __post_init__(self):
-        for key in ("f0_hz", "d_c_m", "h_ap_m", "c_m_s", "grid_spacing_m"):
+        for key in ("f0_hz", "d_c_m", "h_ap_m", "grid_spacing_m"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key}: must be strictly positive")
         if self.sigma_s_db < 0:
@@ -64,7 +63,7 @@ def path_loss_los_db(d, params: ChannelParams):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("nonpositive distance")
-    out = 20.0 * np.log10(params.f0_hz * 4.0 * math.pi * d / params.c_m_s)
+    out = 20.0 * np.log10(params.f0_hz * 4.0 * math.pi * d / SPEED_OF_LIGHT)
     return float(out) if out.ndim == 0 else out
 
 

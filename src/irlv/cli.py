@@ -69,30 +69,19 @@ def _map_jobs(fn, payloads, jobs: int):
         return [f.result() for f in futures]
 
 
-def _task_config(cfg: RunConfig, seeds: Seeds, **overrides) -> PlacementEvalConfig:
-    """The run's placement settings for one set of seeds, with any sweep
-    sizes or channel the task sets in overrides."""
-    return dataclasses.replace(
-        cfg.placement, train=dataclasses.replace(cfg.placement.train, seed=seeds.init),
-        field_seed=seeds.field, dataset_seed=seeds.dataset, init_seed=seeds.init, **overrides,
-    )
-
-
-def _evaluate_task(scenario, cfg: PlacementEvalConfig):
+def _evaluate_task(scenario, cfg: PlacementEvalConfig, seeds: Seeds):
     """Score the scenario's placement on fields drawn for this task alone
     (inside the job, so no task holds another task's fields)."""
-    fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
-    return evaluate_placement(scenario, fields, cfg, np.array([scenario.bs_positions]))[0]
+    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    return evaluate_placement(scenario, fields, cfg, seeds, np.array([scenario.bs_positions]))[0]
 
 
 def cmd_roc(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
     """Per-seed and seed-averaged test ROC curves over the configured sweep."""
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
-    payloads = [
-        (cfg.scenario, _task_config(cfg, cfg.seeds.shifted(k), n_hidden=nh, s_total=s))
-        for nh, s, k in tasks
-    ]
+    payloads = [(cfg.scenario, dataclasses.replace(cfg.placement, n_hidden=nh, s_total=s),
+                 cfg.seeds.shifted(k)) for nh, s, k in tasks]
     scores = _map_jobs(_evaluate_task, payloads, jobs)
     curves = {task: score.roc for task, score in zip(tasks, scores)}
     outputs = []
@@ -126,12 +115,12 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path) -> list[str]:
     if not isinstance(scenario, CircularScenario):
         raise ConfigError("[scenario] kind: np-compare requires the circular scenario")
     params = dataclasses.replace(cfg.placement.channel, sigma_s_db=0.0)
-    nn_curve = _evaluate_task(scenario, _task_config(cfg, cfg.seeds, channel=params)).roc
+    task = dataclasses.replace(cfg.placement, channel=params)
+    nn_curve = _evaluate_task(scenario, task, cfg.seeds).roc
 
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
-    np_curve = np_roc(geometry, params, cfg.eval.n_np_samples, thetas,
-                      _tagged_rng(cfg.seeds.dataset, 1))
+    np_curve = np_roc(geometry, cfg.eval.n_np_samples, thetas, _tagged_rng(cfg.seeds.dataset, 1))
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])
@@ -182,7 +171,7 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
     for k in range(cfg.sweep.n_seeds):
         seeds = cfg.seeds.shifted(k)
         searches = [(obj, cfg.pso, np.random.default_rng(seeds.pso)) for obj in objectives]
-        payloads.append((cfg.scenario, _task_config(cfg, seeds), searches))
+        payloads.append((cfg.scenario, cfg.placement, seeds, searches))
     runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
             for obj, run in zip(objectives, seed_runs)}
     outputs = []
@@ -344,7 +333,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ConfigError(f"--seed-offset {args.seed_offset}: shifted [seeds] {exc}") from None
         out_dir = Path(args.out or cfg.directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            where = "--out" if args.out else "[output] directory"
+            raise ConfigError(f"{where} {out_dir}: not a directory ({exc.strerror})") from None
         if args.command == "roc":
             outputs = cmd_roc(cfg, out_dir, args.jobs)
         elif args.command == "np-compare":

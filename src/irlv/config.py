@@ -14,7 +14,7 @@ from pathlib import Path
 from .channel import ChannelParams
 from .mlp import TrainConfig
 from .neyman_pearson import MAX_RESOLUTION_RAD, MIN_NP_ROC_SAMPLES
-from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig
+from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig, Seeds
 from .scenario import (
     SCENARIO_CIRCULAR,
     SCENARIO_STREET,
@@ -63,25 +63,9 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class Seeds:
-    field: int
-    dataset: int
-    init: int
-    pso: int
-
-    def __post_init__(self):
-        for key, seed in vars(self).items():
-            if seed < 0:
-                raise ValueError(f"{key}: {seed} is below 0")
-
-    def shifted(self, offset: int) -> "Seeds":
-        return Seeds(**{key: seed + offset for key, seed in vars(self).items()})
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scenario: StreetScenario | CircularScenario
-    placement: PlacementEvalConfig  # [channel], [nn], [dataset]; seeds filled in per task
+    placement: PlacementEvalConfig  # [channel], [nn], [dataset]
     pso: PsoConfig
     eval: EvalConfig
     sweep: SweepConfig
@@ -94,8 +78,8 @@ class RunConfig:
             raise ValueError(f"objective: unknown objective {self.objective!r}")
 
 
-def _names(cls, *skip: str) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.name not in skip)
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 # Every key a config may set: [section] -> {dataclass: the fields of it the
@@ -103,8 +87,7 @@ def _names(cls, *skip: str) -> tuple[str, ...]:
 # and rejects any section or key it does not list.
 SECTIONS = {
     "scenario": {ScenarioConfig: _names(ScenarioConfig)},
-    # the speed of light is a constant, not a setting
-    "channel": {ChannelParams: _names(ChannelParams, "c_m_s")},
+    "channel": {ChannelParams: _names(ChannelParams)},
     "nn": {PlacementEvalConfig: ("n_hidden", "n_layers"),
            TrainConfig: ("learning_rate", "epochs", "batch_size")},
     "dataset": {PlacementEvalConfig: ("s_total", "p0", "train_frac")},
@@ -173,8 +156,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(path.read_text(), source=str(path))
-    except configparser.Error as exc:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     for section in parser.sections():
         if section not in SECTIONS:

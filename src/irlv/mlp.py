@@ -197,7 +197,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
     batch_size: int = 128
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -215,15 +214,15 @@ def _raise_if_diverged(finite: np.ndarray, epoch: int) -> None:
                                     f" of {finite.size} not finite after epoch {epoch}")
 
 
-def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, np.ndarray]:
+def train(mlp: MLP, train_set, config: TrainConfig, seed) -> tuple[MLP, np.ndarray]:
     """Mini-batch gradient descent on a normalized dataset, in place.
 
     A stack trains in lockstep on (n, P, n_inputs) features: every network
-    sees the same labels and the same mini-batch order.  Returns the
-    trained stack and its networks' final full-set cross-entropies in
-    bits, a (P,) array.  Raises TrainingDivergedError, naming
-    the networks and the epoch, when parameters or the loss stop being
-    finite.
+    sees the same labels and the same mini-batch order, drawn from seed
+    (anything np.random.default_rng takes).  Returns the trained stack and
+    its networks' final full-set cross-entropies in bits, a (P,) array.
+    Raises TrainingDivergedError, naming the networks and the epoch, when
+    parameters or the loss stop being finite.
     """
     x = np.asarray(train_set.features, dtype=float)
     t = np.asarray(train_set.labels, dtype=float)
@@ -231,7 +230,7 @@ def train(mlp: MLP, train_set, config: TrainConfig) -> tuple[MLP, np.ndarray]:
     n = len(x)
     if config.batch_size > n:
         raise ValueError("batch_size exceeds the training set size")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     flat, vs, cs = _negated(mlp)
     grad, grads_w, grads_b = _negated(mlp, np.empty_like(flat))
     # one gather per epoch; a batch is a slice, with buffers for its size

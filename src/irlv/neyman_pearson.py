@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import SPEED_OF_LIGHT
 from .evaluation import RocCurve
 from .scenario import REGION_INSIDE, REGION_OUTSIDE, CircularScenario
 
@@ -66,7 +67,7 @@ def radius_from_attenuation(a_db, params):
     a_lin = 10.0 ** (np.asarray(a_db, dtype=float) / 20.0)
     if np.any(a_lin < 1.0):
         raise ValueError("attenuation below free-space minimum")
-    out = params.c_m_s * a_lin / (4.0 * math.pi * params.f0_hz)
+    out = SPEED_OF_LIGHT * a_lin / (4.0 * math.pi * params.f0_hz)
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,7 +160,7 @@ def _llr_of_alpha(al: np.ndarray, geometry: SectorGeometry) -> np.ndarray:
     return out
 
 
-def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
+def np_roc(geometry: SectorGeometry, n_samples: int, thetas,
            rng: np.random.Generator) -> RocCurve:
     """Monte-Carlo ROC of the NP test over a grid of ratio thresholds.
 
@@ -167,9 +168,9 @@ def np_roc(geometry: SectorGeometry, params, n_samples: int, thetas,
     noiseless LOS attenuations, and estimates (P_FA, P_MD) per theta.  The
     grid is extended with theta = 0 and theta = inf so the curve reaches
     both endpoints.  The noiseless LOS attenuation is a monotone function of
-    the distance, so the test scores the distance itself and params does
-    not enter; a position nearer than c / (4*pi*f0), whose attenuation
-    llr refuses, gets its LLR too.
+    the distance, so the test scores the distance itself and no channel
+    constant enters; a position nearer than c / (4*pi*f0), whose
+    attenuation llr refuses, gets its LLR too.
     """
     if n_samples < MIN_NP_ROC_SAMPLES:
         raise ValueError(f"need at least {MIN_NP_ROC_SAMPLES} samples per region")

@@ -155,6 +155,22 @@ def _swarm(bounds, dim: int, config: PsoConfig, rng: np.random.Generator, initia
 
 
 @dataclass(frozen=True)
+class Seeds:
+    field: int
+    dataset: int
+    init: int
+    pso: int
+
+    def __post_init__(self):
+        for key, seed in vars(self).items():
+            if seed < 0:
+                raise ValueError(f"{key}: {seed} is below 0")
+
+    def shifted(self, offset: int) -> Seeds:
+        return Seeds(**{key: seed + offset for key, seed in vars(self).items()})
+
+
+@dataclass(frozen=True)
 class PlacementEvalConfig:
     """Everything one placement evaluation needs besides the scenario and
     its shadowing fields."""
@@ -166,9 +182,6 @@ class PlacementEvalConfig:
     n_hidden: int = 8
     n_layers: int = 3
     train: TrainConfig = TrainConfig()
-    field_seed: int = 0
-    dataset_seed: int = 1
-    init_seed: int = 2
 
     def __post_init__(self):
         for key in ("n_hidden", "n_layers"):
@@ -193,7 +206,7 @@ class PlacementScore:
     roc: RocCurve
 
 
-def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
+def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig, seeds: Seeds,
                        placements) -> list[PlacementScore]:
     """Train a verifier net per base-station placement and score each:
     final training CE in bits, test ROC and its AUC.
@@ -203,42 +216,42 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig,
     attenuation features and standardization, and the P networks train as
     one stack.  fields holds one shadowing map per base station (None for
     none); they depend only on the map bounds, the base-station count and
-    the field seed, so callers draw them once for every placement.
-    Deterministic given the seeds in cfg, and a placement's score does not
-    depend on the others.
+    seeds.field, so callers draw them once for every placement.  The rows
+    come from seeds.dataset, the weights and batch order from seeds.init,
+    and a placement's score does not depend on the others.
     """
     train_set, test_set = split(generate_dataset(
         scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
-        np.random.default_rng(cfg.dataset_seed), placements,
+        np.random.default_rng(seeds.dataset), placements,
     ), cfg.train_frac)
     train_n = normalize(train_set)
     test_n = normalize(test_set, train_n.stats)
     del train_set, test_set  # free the raw features before training: P times a network's
     sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
-    mlp, ce = train(init_mlp(sizes, cfg.init_seed, len(placements)), train_n, cfg.train)
+    mlp, ce = train(init_mlp(sizes, seeds.init, len(placements)), train_n, cfg.train, seeds.init)
     rocs = [empirical_roc(s, test_n.labels) for s in forward(mlp, test_n.features).T]
     return [PlacementScore(ce_bits=float(c), auc_value=auc(roc), roc=roc)
             for c, roc in zip(ce, rocs)]
 
 
-def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positions=None
-                   ) -> list[tuple[PsoResult, list[float]]]:
+def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, searches,
+                   initial_positions=None) -> list[tuple[PsoResult, list[float]]]:
     """PSO over n_bs base-station positions on the scenario map, for
     searches run in lockstep on one evaluation config.
 
     searches holds one (objective, PsoConfig, Generator) per search; the
     objective is "ce" (training CE) or "auc" (test AUC).  initial_positions,
     if given, holds one start (or None) per search.  The fields are drawn
-    once and each distinct placement is evaluated once, whichever search
-    reaches it: every sweep, the not yet seen placements of all running
-    searches go to evaluate_placement in one call, as one stack.  A search
+    once, from seeds.field, and each distinct placement is evaluated once,
+    whichever search reaches it: every sweep, the unseen placements of all
+    running searches go to evaluate_placement in one call, as one stack.  A search
     leaves the loop when it stalls or reaches its max_iterations.  Returns
     per search the swarm result and the test AUC of the best placement at
     every iteration, each as if the search had run alone.
     """
     if any(objective not in (OBJECTIVE_CE, OBJECTIVE_AUC) for objective, _, _ in searches):
         raise ValueError(f"objective must be {OBJECTIVE_CE!r} or {OBJECTIVE_AUC!r}")
-    fields = generate_fields(scenario, cfg.channel, cfg.field_seed)
+    fields = generate_fields(scenario, cfg.channel, seeds.field)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
@@ -253,7 +266,7 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
         if new:
             placements = np.reshape(list(new.values()), (len(new), -1, 2))
             cache.update((key, {OBJECTIVE_CE: s.ce_bits, OBJECTIVE_AUC: s.auc_value}) for key, s
-                         in zip(new, evaluate_placement(scenario, fields, cfg, placements)))
+                         in zip(new, evaluate_placement(scenario, fields, cfg, seeds, placements)))
         for i, xs in list(sweeps.items()):
             try:
                 sweeps[i] = swarms[i].send([cache[x.tobytes()][searches[i][0]] for x in xs])
@@ -263,7 +276,7 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, searches, initial_positio
     return [(r, [cache[x.tobytes()][OBJECTIVE_AUC] for x in r.best_x_history]) for r in results]
 
 
-def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
+def plan_two_stage(scenario, cfg: PlacementEvalConfig, seeds: Seeds, stage1: PsoConfig,
                    stage2: PsoConfig, rng: np.random.Generator
                    ) -> tuple[tuple[PsoResult, list[float]], tuple[PsoResult, list[float]]]:
     """A CE search with stage1's swarm settings, refined by an AUC search
@@ -272,9 +285,10 @@ def plan_two_stage(scenario, cfg: PlacementEvalConfig, stage1: PsoConfig,
     Stage two starts with one particle at the stage-one best placement and
     the rest jittered around it (sigma = map extent / 20, clamped).
     """
-    [(result1, aucs1)] = plan_placement(scenario, cfg, [(OBJECTIVE_CE, stage1, rng)])
+    [(result1, aucs1)] = plan_placement(scenario, cfg, seeds, [(OBJECTIVE_CE, stage1, rng)])
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
-    seeds = np.tile(result1.best_x, (stage2.n_particles, 1))
-    seeds[1:] += rng.normal(0.0, sigma, size=seeds[1:].shape)
-    return (result1, aucs1), plan_placement(scenario, cfg, [(OBJECTIVE_AUC, stage2, rng)], [seeds])[0]
+    starts = np.tile(result1.best_x, (stage2.n_particles, 1))
+    starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)
+    return (result1, aucs1), plan_placement(scenario, cfg, seeds, [(OBJECTIVE_AUC, stage2, rng)],
+                                            [starts])[0]

@@ -13,7 +13,7 @@ import pytest
 
 from irlv.channel import ChannelParams, generate_fields, generate_shadowing_field
 from irlv.dataset import generate_dataset, normalize, split
-from irlv.evaluation import auc, complexity_report, empirical_roc
+from irlv.evaluation import complexity_report, empirical_roc
 from irlv.mlp import (
     MLP,
     TrainConfig,
@@ -31,6 +31,8 @@ from irlv.planner import (
     OBJECTIVE_CE,
     PlacementEvalConfig,
     PsoConfig,
+    Seeds,
+    evaluate_placement,
     plan_placement,
     run_pso,
 )
@@ -53,9 +55,7 @@ def circular_run():
     eval_n = normalize(eval_ds, train_n.stats)
 
     net = init_mlp(default_layer_sizes(1, 8, 3), 2)
-    net, _ = train(net, train_n, TrainConfig(
-        learning_rate=0.2, epochs=300, batch_size=128, seed=2,
-    ))
+    net, _ = train(net, train_n, TrainConfig(learning_rate=0.2, epochs=300, batch_size=128), 2)
     return SimpleNamespace(
         scenario=scenario,
         params=params,
@@ -72,10 +72,8 @@ class TestDetectionEquivalence:
         oracle stays within 0.05 over p_fa in [0.05, 0.95]."""
         r = circular_run
         geometry = SectorGeometry(r.scenario, 1e-4)
-        np_curve = np_roc(
-            geometry, r.params, 100_000,
-            np.exp2(np.linspace(-16.0, 4.0, 200)), np.random.default_rng(7),
-        )
+        np_curve = np_roc(geometry, 100_000, np.exp2(np.linspace(-16.0, 4.0, 200)),
+                          np.random.default_rng(7))
         nn_curve = empirical_roc(r.scores, r.labels)
         grid = np.linspace(0.05, 0.95, 181)
         nn_md = np.interp(grid, nn_curve.p_fa, nn_curve.p_md)
@@ -164,20 +162,22 @@ class TestShadowingStatistics:
             assert abs(emp - theory) / theory <= 0.10
 
 
+def _seeds(k: int) -> Seeds:
+    """Shadowing seed k's fields, rows, initial weights and swarm."""
+    return Seeds(field=100 + k, dataset=1000 + k, init=2000 + k, pso=3000 + k)
+
+
 def _street_auc(n_hidden: int, s_total: int, k: int) -> float:
+    """Test AUC of the street map's own placement, through the pipeline."""
     scenario = StreetScenario.default()
-    params = ChannelParams()
-    fields = generate_fields(scenario, params, 100 + k)
-    ds = generate_dataset(scenario, fields, params, s_total, 0.5,
-                          np.random.default_rng(1000 + k), np.array([scenario.bs_positions]))
-    train_set, test_set = split(ds, 0.7)
-    train_n = normalize(train_set)
-    test_n = normalize(test_set, train_n.stats)
-    net = init_mlp(default_layer_sizes(scenario.n_bs, n_hidden, 3), 2000 + k)
-    net, _ = train(net, train_n, TrainConfig(
-        learning_rate=0.2, epochs=300, batch_size=128, seed=2000 + k,
-    ))
-    return auc(empirical_roc(forward(net, test_n.features)[:, 0], test_n.labels))
+    cfg = PlacementEvalConfig(
+        s_total=s_total, n_hidden=n_hidden, n_layers=3,
+        train=TrainConfig(learning_rate=0.2, epochs=300, batch_size=128),
+    )
+    seeds = _seeds(k)
+    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    [score] = evaluate_placement(scenario, fields, cfg, seeds, np.array([scenario.bs_positions]))
+    return score.auc_value
 
 
 class TestCapacityAndDataTrends:
@@ -206,14 +206,13 @@ def _placement_search(objectives, k: int, s_total: int, epochs: int, max_iterati
     eval_cfg = PlacementEvalConfig(
         channel=ChannelParams(), s_total=s_total, p0=0.5, train_frac=0.7,
         n_hidden=8, n_layers=3,
-        train=TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=128,
-                          seed=2000 + k),
-        field_seed=100 + k, dataset_seed=1000 + k, init_seed=2000 + k,
+        train=TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=128),
     )
     # plan_placement searches the map's bounds, (0, 0) to (525, 525)
     assert scenario.bounds == (0.0, 0.0, 525.0, 525.0)
-    runs = plan_placement(scenario, eval_cfg, [
-        (objective, PsoConfig(max_iterations=max_iterations), np.random.default_rng(3000 + k))
+    seeds = _seeds(k)
+    runs = plan_placement(scenario, eval_cfg, seeds, [
+        (objective, PsoConfig(max_iterations=max_iterations), np.random.default_rng(seeds.pso))
         for objective in objectives
     ])
     return {objective: (result, best_aucs[-1])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irlv.channel import (
+    SPEED_OF_LIGHT,
     ChannelParams,
     EmbeddingError,
     ShadowingField,
@@ -47,7 +48,7 @@ class TestChannelParams:
         assert PARAMS.sigma_s_db == 8.0
         assert PARAMS.d_c_m == 75.0
         assert PARAMS.h_ap_m == 15.0
-        assert PARAMS.c_m_s == 299792458.0
+        assert SPEED_OF_LIGHT == 299792458.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -368,6 +368,29 @@ class TestExitCodes:
         assert read_manifest(tmp_path / "o")["seeds"] == {"field": 5, "dataset": 1, "init": 2,
                                                          "pso": 3}
 
+    @pytest.mark.parametrize("out, reason", [
+        ("afile", "File exists"), ("afile/sub", "Not a directory"),
+    ], ids=["file", "under-a-file"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, out, reason):
+        """--out that names a file, or a path under one, is refused with
+        the config exit code and leaves the file as it was."""
+        cfg = write_cfg(tmp_path, CIRCULAR)
+        (tmp_path / "afile").write_text("kept\n")
+        assert run(["field", "--config", cfg, "--out", tmp_path / out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {tmp_path / out}: not a directory ({reason})\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        """A config file that is not UTF-8 text is malformed, refused
+        before any output exists."""
+        (tmp_path / "run.cfg").write_bytes(b"\xff\xfe[scenario]\n")
+        assert run(["field", "--config", tmp_path / "run.cfg", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: malformed config: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         """argparse refuses --jobs below 1 or not a whole number with its

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import re
+from typing import get_type_hints
 
 import pytest
 
@@ -88,6 +89,18 @@ class TestLoadConfig:
                    for names in keys.values() for key in names
                    if not parser.has_option(section, key)]
         assert missing == []
+
+    def test_every_field_is_a_key_the_file_can_set(self):
+        """Each field of a config type is a key SECTIONS lists for it, or a
+        nested config or the scenario: no field holds a value that only
+        code can set, such as a copy of another key."""
+        listed = {(cls, key) for keys in SECTIONS.values() for cls, names in keys.items()
+                  for key in names}
+        types = {cls for keys in SECTIONS.values() for cls in keys} | {PlacementEvalConfig, TrainConfig}
+        nested = types | {StreetScenario | CircularScenario}
+        unset = sorted(f"{cls.__name__}.{f.name}" for cls in types for f in dataclasses.fields(cls)
+                       if (cls, f.name) not in listed and get_type_hints(cls)[f.name] not in nested)
+        assert unset == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -164,7 +164,7 @@ class TestSigmoid:
         data = _as_dataset([[[-800.0]], [[800.0]]], [0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, ce = train(_identity_net(), data, TrainConfig(epochs=2, batch_size=2))
+            _, ce = train(_identity_net(), data, TrainConfig(epochs=2, batch_size=2), 0)
         assert ce.shape == (1,) and np.isfinite(ce[0])
 
     def test_matches_scipy_expit(self):
@@ -290,13 +290,13 @@ class TestTrain:
         ds = _separable_toy()
         mlp = init_mlp([2, 8, 1], seed=0)
         ce0 = ce_loss(forward(mlp, ds.features)[:, 0], ds.labels)
-        _, ce1 = train(mlp, ds, TrainConfig(epochs=50, batch_size=64, seed=1))
+        _, ce1 = train(mlp, ds, TrainConfig(epochs=50, batch_size=64), 1)
         assert ce1.shape == (1,) and ce1[0] <= ce0
 
     def test_separable_toy_accuracy(self):
         ds = _separable_toy()
         mlp = init_mlp([2, 8, 1], seed=0)
-        train(mlp, ds, TrainConfig(learning_rate=0.5, epochs=200, batch_size=64, seed=1))
+        train(mlp, ds, TrainConfig(learning_rate=0.5, epochs=200, batch_size=64), 1)
         acc = np.mean((forward(mlp, ds.features)[:, 0] > 0.5) == ds.labels)
         assert acc >= 0.99
 
@@ -304,7 +304,7 @@ class TestTrain:
         ds = _separable_toy(n=50)
         mlp = init_mlp([2, 4, 1], seed=7)
         before = [w.copy() for w in mlp.weights]
-        train(mlp, ds, TrainConfig(epochs=0, batch_size=16))
+        train(mlp, ds, TrainConfig(epochs=0, batch_size=16), 0)
         for w, b in zip(mlp.weights, before):
             np.testing.assert_array_equal(w, b)
 
@@ -313,7 +313,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             mlp = init_mlp([2, 4, 1], seed=3)
-            train(mlp, ds, TrainConfig(epochs=10, batch_size=16, seed=5))
+            train(mlp, ds, TrainConfig(epochs=10, batch_size=16), 5)
             runs.append([w.copy() for w in mlp.weights])
         for wa, wb in zip(*runs):
             np.testing.assert_array_equal(wa, wb)
@@ -322,13 +322,13 @@ class TestTrain:
         bad = _as_dataset(_one([[np.nan, 1.0], [0.0, 1.0]]), [0, 1])
         mlp = init_mlp([2, 4, 1], seed=0)
         with pytest.raises(TrainingDivergedError, match="diverged"):
-            train(mlp, bad, TrainConfig(epochs=1, batch_size=2))
+            train(mlp, bad, TrainConfig(epochs=1, batch_size=2), 0)
 
     def test_batch_larger_than_set_rejected(self):
         ds = _separable_toy(n=10)
         mlp = init_mlp([2, 4, 1], seed=0)
         with pytest.raises(ValueError):
-            train(mlp, ds, TrainConfig(batch_size=11))
+            train(mlp, ds, TrainConfig(batch_size=11), 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -351,13 +351,13 @@ class TestStackedTrain:
         rng = np.random.default_rng(10 * p + n)
         t = rng.integers(0, 2, n)
         x = rng.normal(size=(n, p, 5)) + rng.normal(size=(1, p, 5)) * t[:, None, None]
-        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=32, seed=7)
-        stack, ce = train(init_mlp([5, 8, 8, 1], seed=3, copies=p), _as_dataset(x, t), cfg)
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=32)
+        stack, ce = train(init_mlp([5, 8, 8, 1], seed=3, copies=p), _as_dataset(x, t), cfg, 7)
         assert ce.shape == (p,)
         scores = forward(stack, x)
         assert scores.shape == (n, p)
         for k in range(p):
-            alone, ce_k = train(init_mlp([5, 8, 8, 1], seed=3), _as_dataset(x[:, k:k + 1], t), cfg)
+            alone, ce_k = train(init_mlp([5, 8, 8, 1], seed=3), _as_dataset(x[:, k:k + 1], t), cfg, 7)
             for stacked, single in zip(stack.weights + stack.biases, alone.weights + alone.biases):
                 assert np.array_equal(stacked[k], single[0])
             assert ce[k] == ce_k[0]
@@ -376,11 +376,11 @@ class TestStackedTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError,
                                match=r"^training diverged: networks \[1\] of 3 not finite after epoch 1$"):
-                train(init_mlp([1, 1], seed=0, copies=3), _as_dataset(x, t), cfg)
+                train(init_mlp([1, 1], seed=0, copies=3), _as_dataset(x, t), cfg, 0)
             with pytest.raises(TrainingDivergedError,
                                match=r"^training diverged: networks \[0\] of 1 not finite after epoch 1$"):
-                train(init_mlp([1, 1], seed=0), _as_dataset(x[:, 1:2], t), cfg)
-            _, ce = train(init_mlp([1, 1], seed=0, copies=2), _as_dataset(x[:, ::2], t), cfg)
+                train(init_mlp([1, 1], seed=0), _as_dataset(x[:, 1:2], t), cfg, 0)
+            _, ce = train(init_mlp([1, 1], seed=0, copies=2), _as_dataset(x[:, ::2], t), cfg, 0)
         assert np.all(np.isfinite(ce))
 
     def test_diverged_network_keeps_its_non_finite_parameters(self):
@@ -392,7 +392,8 @@ class TestStackedTrain:
         stack = init_mlp([1, 1], seed=0, copies=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match=r"networks \[1\] of 3"):
-                train(stack, _as_dataset(x, t), TrainConfig(learning_rate=1e308, epochs=3, batch_size=16))
+                train(stack, _as_dataset(x, t), TrainConfig(learning_rate=1e308, epochs=3, batch_size=16),
+                      0)
         assert not np.all(np.isfinite(stack.weights[0][1]))
         assert np.all(np.isfinite(stack.weights[0][::2])) and np.all(np.isfinite(stack.biases[0][::2]))
 
@@ -422,10 +423,10 @@ def _reference_backward(mlp, x, t):
     return grads_w, grads_b
 
 
-def _reference_train(mlp, x, t, config):
+def _reference_train(mlp, x, t, config, seed):
     """Mini-batch descent as a loop over fancy-indexed batches with one
     update per layer: the loop train's fused step replaces."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(config.epochs):
         order = rng.permutation(len(x))
         for start in range(0, len(x), config.batch_size):
@@ -463,13 +464,14 @@ class TestFusedStep:
         features = data.features.tobytes()
         for batch_size in (32, 40):  # 96 rows: whole batches, then a short last one
             for lr in (0.05, 0.5):
-                cfg = TrainConfig(learning_rate=lr, epochs=3, batch_size=batch_size, seed=batch_size)
+                cfg = TrainConfig(learning_rate=lr, epochs=3, batch_size=batch_size)
                 mlp = init_mlp(sizes, seed=5, copies=p)
                 arrays = mlp.weights + mlp.biases
-                trained, ce = train(mlp, data, cfg)
+                trained, ce = train(mlp, data, cfg, batch_size)
                 assert trained is mlp
                 assert all(a is b for a, b in zip(trained.weights + trained.biases, arrays))
-                ref, ref_ce = _reference_train(init_mlp(sizes, seed=5, copies=p), x, t.astype(float), cfg)
+                ref, ref_ce = _reference_train(init_mlp(sizes, seed=5, copies=p), x, t.astype(float), cfg,
+                                               batch_size)
                 for a, b in zip(arrays, ref.weights + ref.biases):
                     assert np.array_equal(a, b)
                 assert np.array_equal(ce, ref_ce)

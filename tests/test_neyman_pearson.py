@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irlv import neyman_pearson
-from irlv.channel import ChannelParams, path_loss_los_db
+from irlv.channel import SPEED_OF_LIGHT, ChannelParams, path_loss_los_db
 from irlv.evaluation import auc
 from irlv.neyman_pearson import (
     LLR_SENTINEL_BITS,
@@ -45,7 +45,7 @@ class TestRadiusFromAttenuation:
         np.testing.assert_allclose(back, d, rtol=1e-9)
 
     def test_unit_radius(self):
-        a_lin = 4.0 * math.pi * PARAMS.f0_hz / PARAMS.c_m_s
+        a_lin = 4.0 * math.pi * PARAMS.f0_hz / SPEED_OF_LIGHT
         np.testing.assert_allclose(
             radius_from_attenuation(20.0 * math.log10(a_lin), PARAMS), 1.0, rtol=1e-12
         )
@@ -244,7 +244,7 @@ class TestNpDecide:
     def test_threshold_validated(self):
         for theta in (0.0, -1.0):
             with pytest.raises(ValueError, match="thetas"):
-                np_roc(GEO, PARAMS, 10_000, [theta], np.random.default_rng(0))
+                np_roc(GEO, 10_000, [theta], np.random.default_rng(0))
 
     def test_tie_accepts(self):
         a = path_loss_los_db(20.0, PARAMS)
@@ -256,7 +256,7 @@ class TestNpRoc:
     thetas = np.logspace(-4, 4, 41)
 
     def test_endpoints_and_monotonicity(self):
-        roc = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(0))
+        roc = np_roc(GEO, 10_000, self.thetas, np.random.default_rng(0))
         assert roc.p_fa[0] == 0.0
         assert roc.p_fa[-1] == 1.0 and roc.p_md[-1] == 0.0
         assert np.all(np.diff(roc.p_md) <= 0)
@@ -276,13 +276,13 @@ class TestNpRoc:
 
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
-            np_roc(GEO, PARAMS, 9_999, self.thetas, np.random.default_rng(0))
+            np_roc(GEO, 9_999, self.thetas, np.random.default_rng(0))
 
     def test_dominates_radius_threshold_heuristic(self):
         """The LLR test is at least as good as any radius cutoff rule."""
         rng = np.random.default_rng(42)
         n = 20_000
-        roc = np_roc(GEO, PARAMS, n, np.logspace(-6, 6, 201), np.random.default_rng(1))
+        roc = np_roc(GEO, n, np.logspace(-6, 6, 201), np.random.default_rng(1))
         r0 = np.hypot(*GEO.scenario.sample_region(REGION_INSIDE, rng, n).T)
         r1 = np.hypot(*GEO.scenario.sample_region(REGION_OUTSIDE, rng, n).T)
         for cutoff in np.linspace(2.0, 38.0, 25):
@@ -295,30 +295,26 @@ class TestNpRoc:
     @pytest.mark.parametrize("seed", [2, 7])
     def test_equals_stable_sort_reference(self, monkeypatch, seed, resolution):
         geo = SectorGeometry(CircularScenario.default(), resolution)
-        roc = np_roc(geo, PARAMS, 10_000, self.thetas, np.random.default_rng(seed))
+        roc = np_roc(geo, 10_000, self.thetas, np.random.default_rng(seed))
         monkeypatch.setattr(neyman_pearson, "alpha", _alpha_reference)
-        ref = np_roc(geo, PARAMS, 10_000, self.thetas, np.random.default_rng(seed))
+        ref = np_roc(geo, 10_000, self.thetas, np.random.default_rng(seed))
         np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
         np.testing.assert_array_equal(roc.p_md, ref.p_md)
         np.testing.assert_array_equal(roc.thresholds, ref.thresholds)
 
     def test_reproducible(self):
-        a = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(3))
-        b = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(3))
+        a = np_roc(GEO, 10_000, self.thetas, np.random.default_rng(3))
+        b = np_roc(GEO, 10_000, self.thetas, np.random.default_rng(3))
         np.testing.assert_array_equal(a.p_md, b.p_md)
 
     def test_informative(self):
-        roc = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(4))
+        roc = np_roc(GEO, 10_000, self.thetas, np.random.default_rng(4))
         assert auc(roc) < 0.4
 
     def test_scores_positions_nearer_than_the_free_space_minimum(self):
-        """np_roc scores distances, not attenuations: at f0 = 7 Hz every
-        position lies nearer than c / (4*pi*f0), whose attenuation llr
-        refuses, and the ROC is the one at the standard carrier."""
+        """np_roc scores distances, not attenuations, so it takes no
+        channel constants: at f0 = 7 Hz every position lies nearer than
+        c / (4*pi*f0), whose attenuation llr refuses."""
         slow = ChannelParams(f0_hz=7.0)
         with pytest.raises(ValueError, match="free-space minimum"):
             llr(path_loss_los_db(10.0, slow), GEO, slow)
-        roc = np_roc(GEO, slow, 10_000, self.thetas, np.random.default_rng(5))
-        ref = np_roc(GEO, PARAMS, 10_000, self.thetas, np.random.default_rng(5))
-        np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
-        np.testing.assert_array_equal(roc.p_md, ref.p_md)
