@@ -2,7 +2,9 @@
 
 Every run is a pure function of (config, seeds): identical inputs produce
 byte-identical CSVs, and a manifest written at run end references each
-emitted file by content hash.  Exit codes: 0 success, 2 config error,
+emitted file by content hash.  Each command is a runner(cfg, out, jobs)
+that writes every file to the path out(name) returns, which records the
+name for the manifest.  Exit codes: 0 success, 2 config error,
 3 numeric failure (a NumericError, raised only at the known degenerate
 points); any other error is a bug and shows its traceback.
 """
@@ -76,7 +78,7 @@ def _evaluate_task(scenario, cfg: PlacementEvalConfig, seeds: Seeds):
     return evaluate_placement(scenario, fields, cfg, seeds, np.array([scenario.bs_positions]))[0]
 
 
-def cmd_roc(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
+def cmd_roc(cfg: RunConfig, out, jobs: int) -> None:
     """Per-seed and seed-averaged test ROC curves over the configured sweep."""
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
@@ -84,36 +86,27 @@ def cmd_roc(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
                  cfg.seeds.shifted(k)) for nh, s, k in tasks]
     scores = _map_jobs(_evaluate_task, payloads, jobs)
     curves = {task: score.roc for task, score in zip(tasks, scores)}
-    outputs = []
     summary = ["n_hidden,s_total,seed,auc"]
     for nh, s in combos:
         per_seed = []
         for k in range(cfg.sweep.n_seeds):
             roc = curves[(nh, s, k)]
-            name = f"roc_nh{nh}_s{s}_seed{k}.csv"
-            roc_to_csv(roc, out_dir / name)
-            outputs.append(name)
+            roc_to_csv(roc, out(f"roc_nh{nh}_s{s}_seed{k}.csv"))
             per_seed.append(roc)
             summary.append(f"{nh},{s},{k},{auc(roc):.17g}")
         mean_curve = average_roc(per_seed)
-        name = f"roc_nh{nh}_s{s}_mean.csv"
-        roc_to_csv(mean_curve, out_dir / name)
-        outputs.append(name)
+        roc_to_csv(mean_curve, out(f"roc_nh{nh}_s{s}_mean.csv"))
         summary.append(f"{nh},{s},mean,{auc(mean_curve):.17g}")
-    _write_lines(out_dir / "auc_summary.csv", summary)
-    outputs.append("auc_summary.csv")
-    return outputs
+    _write_lines(out("auc_summary.csv"), summary)
 
 
-def cmd_np_compare(cfg: RunConfig, out_dir: Path) -> list[str]:
+def cmd_np_compare(cfg: RunConfig, out, jobs: int) -> None:
     """Net and likelihood-ratio-test ROCs on the same disc geometry.
 
     Both tests see the deterministic line-of-sight channel the reference
     test is derived for, so the shadowing deviation is forced to zero.
     """
     scenario = cfg.scenario
-    if not isinstance(scenario, CircularScenario):
-        raise ConfigError("[scenario] kind: np-compare requires the circular scenario")
     params = dataclasses.replace(cfg.placement.channel, sigma_s_db=0.0)
     task = dataclasses.replace(cfg.placement, channel=params)
     nn_curve = _evaluate_task(scenario, task, cfg.seeds).roc
@@ -124,10 +117,10 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path) -> list[str]:
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])
-    roc_to_csv(nn_grid, out_dir / "nn_roc.csv")
-    roc_to_csv(np_grid, out_dir / "np_roc.csv")
+    roc_to_csv(nn_grid, out("nn_roc.csv"))
+    roc_to_csv(np_grid, out("np_roc.csv"))
     gap = float(np.max(np.abs(nn_grid.p_md - np_grid.p_md)))
-    _write_json(out_dir / "summary.json", {
+    _write_json(out("summary.json"), {
         "auc_nn": auc(nn_grid),
         "auc_np": auc(np_grid),
         "max_vertical_gap": gap,
@@ -140,7 +133,6 @@ def cmd_np_compare(cfg: RunConfig, out_dir: Path) -> list[str]:
         "n_np_samples": cfg.eval.n_np_samples,
         "s_total": cfg.placement.s_total,
     })
-    return ["nn_roc.csv", "np_roc.csv", "summary.json"]
 
 
 def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
@@ -152,17 +144,13 @@ def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
     return []
 
 
-def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
+def cmd_plan(cfg: RunConfig, out, jobs: int) -> None:
     """Placement searches per objective and seed, with best-value history
     CSVs and the per-iteration mean AUC across seeds.
 
     A seed's searches share one evaluation config, so they run as one job
     in lockstep (see plan_placement); --jobs splits the seeds.
     """
-    # the disc scenario pins its base station at the origin (the oracle's
-    # geometry), so there is nothing to place there
-    if not isinstance(cfg.scenario, StreetScenario):
-        raise ConfigError("[scenario] kind: plan requires the street scenario")
     objectives = (
         [OBJECTIVE_CE, OBJECTIVE_AUC] if cfg.objective == OBJECTIVE_BOTH
         else [cfg.objective]
@@ -174,7 +162,6 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
         payloads.append((cfg.scenario, cfg.placement, seeds, searches))
     runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
             for obj, run in zip(objectives, seed_runs)}
-    outputs = []
     summary = {}
     for obj in objectives:
         series = []
@@ -182,14 +169,12 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
         converged = []
         for k in range(cfg.sweep.n_seeds):
             result, aucs = runs[(obj, k)]
-            name = f"plan_{obj}_seed{k}.csv"
             lines = ["iteration,best_objective,best_auc"]
             lines += [
                 f"{i},{value:.17g},{a:.17g}"
                 for i, (value, a) in enumerate(zip(result.history, aucs))
             ]
-            _write_lines(out_dir / name, lines)
-            outputs.append(name)
+            _write_lines(out(f"plan_{obj}_seed{k}.csv"), lines)
             series.append(aucs)
             converged.append(result.converged)
             for b, (x, y) in enumerate(result.best_x.reshape(-1, 2)):
@@ -198,14 +183,10 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
         width = max(len(s) for s in series)
         padded = np.array([s + [s[-1]] * (width - len(s)) for s in series])
         mean_auc = padded.mean(axis=0)
-        name = f"plan_{obj}_mean.csv"
-        _write_lines(out_dir / name, ["iteration,mean_auc"] + [
+        _write_lines(out(f"plan_{obj}_mean.csv"), ["iteration,mean_auc"] + [
             f"{i},{v:.17g}" for i, v in enumerate(mean_auc)
         ])
-        outputs.append(name)
-        name = f"plan_{obj}_placements.csv"
-        _write_lines(out_dir / name, placements)
-        outputs.append(name)
+        _write_lines(out(f"plan_{obj}_placements.csv"), placements)
         summary[obj] = {
             "initial_mean_auc": float(mean_auc[0]),
             "final_mean_auc": float(mean_auc[-1]),
@@ -213,24 +194,19 @@ def cmd_plan(cfg: RunConfig, out_dir: Path, jobs: int) -> list[str]:
             "converged": converged,
             "s_total": cfg.placement.s_total,
         }
-    _write_json(out_dir / "summary.json", summary)
-    outputs.append("summary.json")
-    return outputs
+    _write_json(out("summary.json"), summary)
 
 
-def cmd_field(cfg: RunConfig, out_dir: Path) -> list[str]:
+def cmd_field(cfg: RunConfig, out, jobs: int) -> None:
     """Shadowing field export plus an empirical-vs-theory covariance check.
 
     The field is zero-mean by construction, so the covariance estimate is
     a plain product average over realizations, along both grid axes.
     """
     scenario, params, seeds = cfg.scenario, cfg.placement.channel, cfg.seeds
-    outputs = []
     fields = generate_fields(scenario, params, seeds.field)
     for n, f in enumerate(fields):
-        name = f"field_bs{n}.csv"
-        save_field(f, out_dir / name)
-        outputs.append(name)
+        save_field(f, out(f"field_bs{n}.csv"))
 
     spacing = params.grid_spacing_m
     max_k = int(math.floor(2.0 * params.d_c_m / spacing + 1e-9))
@@ -260,15 +236,12 @@ def cmd_field(cfg: RunConfig, out_dir: Path) -> list[str]:
         rel = abs(emp - theory) / theory if theory > 0.0 else abs(emp)
         max_rel_err = max(max_rel_err, rel)
         rows.append(f"{lag:.17g},{emp:.17g},{theory:.17g},{rel:.17g}")
-    _write_lines(out_dir / "field_cov.csv", rows)
-    outputs.append("field_cov.csv")
-    _write_json(out_dir / "summary.json", {
+    _write_lines(out("field_cov.csv"), rows)
+    _write_json(out("summary.json"), {
         "n_realizations": n_real,
         "max_rel_err": max_rel_err,
         "grid": {"nx": fields[0].nx, "ny": fields[0].ny, "spacing_m": spacing},
     })
-    outputs.append("summary.json")
-    return outputs
 
 
 def _sha256(path: Path) -> str:
@@ -276,13 +249,13 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config_path: Path,
-                    seeds: Seeds, seed_offset: int, outputs: list[str]) -> None:
+                    seeds: Seeds, seed_offset: int, names: list[str]) -> None:
     manifest = {
         "command": command,
         "config_sha256": _sha256(Path(config_path)),
         "seed_offset": seed_offset,
         "seeds": dataclasses.asdict(seeds),
-        "outputs": {name: _sha256(out_dir / name) for name in sorted(outputs)},
+        "outputs": {name: _sha256(out_dir / name) for name in sorted(names)},
         "versions": {
             "irlv": __version__,
             "numpy": np.__version__,
@@ -302,6 +275,17 @@ def _job_count(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    # command -> (runner, help, the scenario class it needs, object for any);
+    # built per call, so it holds whatever runner the module attribute names
+    commands = {
+        "roc": (cmd_roc, "test ROC curves over the hidden-size/sample-count sweep", object),
+        "np-compare": (cmd_np_compare, "net vs likelihood-ratio oracle on the disc scenario",
+                       CircularScenario),
+        # the disc scenario pins its base station at the origin (the oracle's
+        # geometry), so there is nothing to place there
+        "plan": (cmd_plan, "swarm search over base-station placements", StreetScenario),
+        "field": (cmd_field, "shadowing field export and covariance diagnostic", object),
+    }
     parser = argparse.ArgumentParser(
         prog="irlv",
         description="In-region location verification experiments: "
@@ -309,12 +293,7 @@ def main(argv=None) -> int:
                     "and base-station placement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-        ("roc", "test ROC curves over the hidden-size/sample-count sweep"),
-        ("np-compare", "net vs likelihood-ratio oracle on the disc scenario"),
-        ("plan", "swarm search over base-station placements"),
-        ("field", "shadowing field export and covariance diagnostic"),
-    ]:
+    for name, (_, blurb, _) in commands.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, default=None,
                        help="INI config (default: shipped paper.cfg)")
@@ -325,9 +304,13 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=_job_count, default=1,
                        help="parallel sweep jobs")
     args = parser.parse_args(argv)
+    runner, _, scenario_class = commands[args.command]
     config_path = args.config if args.config is not None else default_config_path()
     try:
         loaded = load_config(config_path)
+        if not isinstance(loaded.scenario, scenario_class):
+            kind = scenario_class.__name__.removesuffix("Scenario").lower()
+            raise ConfigError(f"[scenario] kind: {args.command} requires the {kind} scenario")
         try:
             cfg = dataclasses.replace(loaded, seeds=loaded.seeds.shifted(args.seed_offset))
         except ValueError as exc:
@@ -338,22 +321,21 @@ def main(argv=None) -> int:
         except (FileExistsError, NotADirectoryError) as exc:
             where = "--out" if args.out else "[output] directory"
             raise ConfigError(f"{where} {out_dir}: not a directory ({exc.strerror})") from None
-        if args.command == "roc":
-            outputs = cmd_roc(cfg, out_dir, args.jobs)
-        elif args.command == "np-compare":
-            outputs = cmd_np_compare(cfg, out_dir)
-        elif args.command == "plan":
-            outputs = cmd_plan(cfg, out_dir, args.jobs)
-        else:
-            outputs = cmd_field(cfg, out_dir)
-        _write_manifest(out_dir, args.command, config_path, loaded.seeds, args.seed_offset, outputs)
+        names = []  # the files the run writes, in order
+
+        def out(name: str) -> Path:
+            names.append(name)
+            return out_dir / name
+
+        runner(cfg, out, args.jobs)
+        _write_manifest(out_dir, args.command, config_path, loaded.seeds, args.seed_offset, names)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"wrote {len(outputs)} files and manifest.json to {out_dir}")
+    print(f"wrote {len(names)} files and manifest.json to {out_dir}")
     return EXIT_OK
 
 

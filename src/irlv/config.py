@@ -60,6 +60,11 @@ class SweepConfig:
             raise ValueError("n_hidden: every width must be at least 1")
         if min(self.s_total, default=0) < 2:
             raise ValueError("s_total: every sample count must be at least 2")
+        for key in ("n_hidden", "s_total"):  # a repeat would train its tasks twice
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key}: {value} is listed twice")
 
 
 @dataclass(frozen=True)

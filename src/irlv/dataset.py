@@ -21,29 +21,11 @@ from .scenario import REGION_INSIDE, REGION_OUTSIDE
 
 
 @dataclass(frozen=True)
-class NormalizationStats:
-    """Per-feature affine map derived from a training set."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        out = features - self.mean
-        out /= self.std
-        return out
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Features (n, P, n_bs) for P placements with labels (n,).
-
-    stats is None for raw dB features and carries the training-set
-    standardization once normalize() has been applied.
-    """
+    """Features (n, P, n_bs) for P placements with labels (n,)."""
 
     features: np.ndarray
     labels: np.ndarray
-    stats: NormalizationStats | None = None
 
     def __post_init__(self):
         if self.features.ndim != 3 or len(self.features) == 0:
@@ -99,30 +81,22 @@ def split(dataset: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
     if n_train == 0 or n_train == len(dataset):
         raise ValueError("split leaves one side empty")
     def take(sl):
-        return Dataset(
-            features=dataset.features[sl],
-            labels=dataset.labels[sl],
-            stats=dataset.stats,
-        )
+        return Dataset(features=dataset.features[sl], labels=dataset.labels[sl])
     return take(slice(None, n_train)), take(slice(n_train, None))
 
 
-def normalize(dataset: Dataset, stats: NormalizationStats | None = None) -> Dataset:
-    """Standardize features to zero mean and unit variance.
-
-    Without stats the map is fitted on this dataset (the training portion);
-    pass the training stats to transform held-out data consistently.
-    """
-    if stats is None:
-        mean = dataset.features.mean(axis=0)
-        std = dataset.features.std(axis=0)
-        zero = np.argwhere(std == 0.0)
-        if zero.size:
-            placement, feature = zero[0].tolist()
-            raise NumericError(f"feature {feature} of placement {placement} has zero variance")
-        stats = NormalizationStats(mean=mean, std=std)
-    return Dataset(
-        features=stats.apply(dataset.features),
-        labels=dataset.labels,
-        stats=stats,
-    )
+def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Standardize both sets with the mean and standard deviation of each
+    feature over the training rows, so train maps to zero mean and unit
+    variance and test is transformed consistently with it."""
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
+    zero = np.argwhere(std == 0.0)
+    if zero.size:
+        placement, feature = zero[0].tolist()
+        raise NumericError(f"feature {feature} of placement {placement} has zero variance")
+    def standardized(dataset):
+        features = dataset.features - mean
+        features /= std
+        return Dataset(features=features, labels=dataset.labels)
+    return standardized(train), standardized(test)

@@ -97,7 +97,10 @@ def empirical_roc(scores, labels) -> RocCurve:
     s1 = np.sort(s[t == 1])
     if len(s0) == 0 or len(s1) == 0:
         raise NumericError("both classes must be present")
-    lams = np.unique(np.concatenate([s, [0.0]]))
+    # distinct values by sort and adjacent differences, as np.unique finds
+    # them, without np.unique's import of numpy.ma (scores are never NaN)
+    lams = np.sort(np.concatenate([s, [0.0]]))
+    lams = lams[np.concatenate([[True], lams[1:] != lams[:-1]])]
     p_fa = (len(s0) - np.searchsorted(s0, lams, side="right")) / len(s0)
     p_md = np.searchsorted(s1, lams, side="right") / len(s1)
     return RocCurve.from_points(p_fa, p_md, thresholds=lams)

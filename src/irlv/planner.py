@@ -224,8 +224,7 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig, seeds: Seeds,
         scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
         np.random.default_rng(seeds.dataset), placements,
     ), cfg.train_frac)
-    train_n = normalize(train_set)
-    test_n = normalize(test_set, train_n.stats)
+    train_n, test_n = normalize(train_set, test_set)
     del train_set, test_set  # free the raw features before training: P times a network's
     sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
     mlp, ce = train(init_mlp(sizes, seeds.init, len(placements)), train_n, cfg.train, seeds.init)

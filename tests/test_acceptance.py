@@ -48,11 +48,10 @@ def circular_run():
     own = np.array([scenario.bs_positions])  # a single placement: a stack of one
     ds = generate_dataset(scenario, None, params, 20_000, 0.5, np.random.default_rng(1), own)
     train_set, _ = split(ds, 0.7)
-    train_n = normalize(train_set)
     p0 = float(np.mean(train_set.labels == 0))
 
     eval_ds = generate_dataset(scenario, None, params, 10_000, 0.5, np.random.default_rng(42), own)
-    eval_n = normalize(eval_ds, train_n.stats)
+    train_n, eval_n = normalize(train_set, eval_ds)
 
     net = init_mlp(default_layer_sizes(1, 8, 3), 2)
     net, _ = train(net, train_n, TrainConfig(learning_rate=0.2, epochs=300, batch_size=128), 2)

@@ -113,15 +113,22 @@ class TestRoc:
         assert summary[0] == "n_hidden,s_total,seed,auc"
         assert len(summary) == 1 + 4 * 3  # per combo: two seeds and a mean
 
-    def test_manifest_hashes_every_output(self, tmp_path):
+    @pytest.mark.parametrize("command, text", [
+        ("roc", CIRCULAR), ("np-compare", CIRCULAR), ("plan", STREET), ("field", STREET),
+    ], ids=["roc", "np-compare", "plan", "field"])
+    def test_manifest_hashes_every_output(self, tmp_path, capsys, command, text):
+        """The manifest hashes exactly the files in --out, and the printed
+        file count is theirs."""
         import hashlib
 
-        cfg = write_cfg(tmp_path, CIRCULAR)
+        cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
-        assert run(["roc", "--config", cfg, "--out", out]) == 0
+        assert run([command, "--config", cfg, "--out", out]) == 0
         manifest = read_manifest(out)
         emitted = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(manifest["outputs"]) == emitted
+        assert capsys.readouterr().out.startswith(
+            f"wrote {len(manifest['outputs'])} files and manifest.json to ")
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert manifest["seeds"] == {"field": 0, "dataset": 1, "init": 2, "pso": 3}
@@ -200,9 +207,12 @@ class TestNpCompare:
         cfg = write_cfg(tmp_path, text.replace("n_np_samples = 10000", "n_np_samples = 100000"))
         assert run(["np-compare", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
-    def test_street_scenario_rejected(self, tmp_path):
-        cfg = write_cfg(tmp_path, CIRCULAR.replace("kind = circular", "kind = street"))
+    def test_street_scenario_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, STREET)
         assert run(["np-compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [scenario] kind: np-compare requires the circular scenario\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPlan:
@@ -237,9 +247,12 @@ class TestPlan:
         assert (out / "plan_auc_mean.csv").is_file()
         assert not (out / "plan_ce_mean.csv").exists()
 
-    def test_circular_scenario_rejected(self, tmp_path):
+    def test_circular_scenario_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCULAR)
         assert run(["plan", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [scenario] kind: plan requires the street scenario\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestProxyValidityFlag:
@@ -331,7 +344,10 @@ class TestExitCodes:
          "[scenario] inconsistent geometry: 2*building_side + street_width must equal map_side"),
         ("sigma_s_db = 0.0", "sigma_s_db = nan", "[channel] sigma_s_db: must be finite"),
         ("field = 0", "field = -1", "[seeds] field: -1 is below 0"),
-    ], ids=["street-geometry", "non-finite", "negative-seed"])
+        # a repeated sweep value would train its tasks twice
+        ("n_hidden = 2,4", "n_hidden = 4,2,4", "[sweep] n_hidden: 4 is listed twice"),
+        ("s_total = 200,300", "s_total = 200,200", "[sweep] s_total: 200 is listed twice"),
+    ], ids=["street-geometry", "non-finite", "negative-seed", "repeated-width", "repeated-size"])
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, capsys, old, new, message):
         cfg = write_cfg(tmp_path, CIRCULAR.replace(old, new))
         assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 2

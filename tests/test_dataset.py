@@ -151,37 +151,30 @@ class TestSplit:
 class TestNormalize:
     def test_training_moments(self):
         ds = _small_dataset(fields=True)
-        normed = normalize(ds)
+        normed, _ = normalize(ds, ds)
         np.testing.assert_allclose(normed.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.features.std(axis=0), 1.0, atol=1e-9)
 
     def test_stats_reused_on_test_side(self):
+        """The test side is mapped with the training mean and std."""
         ds = _small_dataset(fields=True)
         train, test = split(ds, 0.7)
-        train_n = normalize(train)
-        test_n = normalize(test, train_n.stats)
-        assert test_n.stats is train_n.stats
+        _, test_n = normalize(train, test)
         # test-side moments are near but not exactly 0/1
         assert abs(test_n.features.mean()) < 0.5
-        np.testing.assert_allclose(
-            test_n.features * train_n.stats.std + train_n.stats.mean, test.features, atol=1e-9
-        )
-
-    def test_double_application_is_not_identity(self):
-        ds = _small_dataset(fields=True)
-        once = normalize(ds)
-        twice = once.stats.apply(once.features)
-        assert not np.allclose(twice, once.features)
+        mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+        np.testing.assert_allclose(test_n.features * std + mean, test.features, atol=1e-9)
 
     def test_zero_variance_feature_named(self):
         feats = np.stack([np.random.default_rng(0).standard_normal((5, 2)),
                           np.column_stack([np.arange(5.0), np.full(5, 3.0)])], axis=1)
         ds = Dataset(feats, np.zeros(5, np.int64))
         with pytest.raises(NumericError, match="feature 1 of placement 1 has zero variance"):
-            normalize(ds)
+            normalize(ds, ds)
 
     def test_labels_and_count_preserved(self):
         ds = _small_dataset()
-        normed = normalize(ds)
-        assert len(normed) == len(ds)
-        np.testing.assert_array_equal(normed.labels, ds.labels)
+        train, test = split(ds, 0.7)
+        for raw, normed in zip((train, test), normalize(train, test)):
+            assert len(normed) == len(raw)
+            np.testing.assert_array_equal(normed.labels, raw.labels)

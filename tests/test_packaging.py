@@ -51,6 +51,22 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_roc_run_loads_no_masked_arrays(tmp_path):
+    """np.unique imports numpy.ma; the ROC construction finds its distinct
+    thresholds without it, so a run does not pay for that import."""
+    (tmp_path / "run.cfg").write_text(
+        "[scenario]\nkind = circular\n[channel]\nsigma_s_db = 0.0\n"
+        "[nn]\nn_hidden = 2\nepochs = 2\n[dataset]\ns_total = 200\n[sweep]\nn_seeds = 1\n"
+        "[seeds]\nfield = 0\ndataset = 1\ninit = 2\npso = 3\n")
+    code = ("import sys, irlv.cli; "
+            "assert irlv.cli.main(['roc', '--config', 'run.cfg', '--out', 'o']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_dependencies_are_exactly_the_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
