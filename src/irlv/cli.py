@@ -64,7 +64,8 @@ def _map_jobs(fn, payloads, jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     # forkserver, Python 3.14's default: from 3.12 on, forking a process that
-    # runs threads (OpenBLAS starts some) raises a DeprecationWarning
+    # runs threads raises a DeprecationWarning, and OpenBLAS starts some for a
+    # caller who sets OPENBLAS_NUM_THREADS above irlv's default of 1
     context = multiprocessing.get_context("forkserver")
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads)), mp_context=context) as pool:
         futures = [pool.submit(fn, *p) for p in payloads]

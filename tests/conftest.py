@@ -1,6 +1,12 @@
-"""Terminal reporting for the acceptance gate: one line per criterion."""
+"""Terminal reporting for the acceptance gate: one line per criterion.
+
+irlv is imported first, before any test module loads numpy, so the suite
+runs under the package's one-thread BLAS default as the CLI does.
+"""
 
 import re
+
+import irlv  # noqa: F401
 
 _CRITERION = re.compile(r"test_acceptance\.py::.*test_criterion_(\d+)_(\w+)")
 _results: dict[int, tuple[str, str]] = {}

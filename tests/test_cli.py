@@ -2,12 +2,17 @@
 
 import configparser
 import json
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irlv
 from irlv.channel import ChannelParams, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import SECTIONS, load_config
@@ -284,6 +289,23 @@ class TestField:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_realizations"] == 25
         assert summary["max_rel_err"] >= 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs at least two cores and sched_setaffinity")
+    def test_fields_do_not_depend_on_the_core_count(self, tmp_path):
+        """A process pinned to one core writes the same dense-route fields as
+        one that may use every core.  The children get no OPENBLAS_NUM_THREADS,
+        so each takes the package's default, not this process's setting."""
+        cfg = write_cfg(tmp_path, CIRCULAR.replace("sigma_s_db = 0.0", "sigma_s_db = 8.0"))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(irlv.__file__).resolve().parents[1])
+        outputs = []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {0})), ("all", None)):
+            subprocess.run([sys.executable, "-m", "irlv.cli", "field", "--config", str(cfg),
+                            "--out", str(tmp_path / name)], env=env, preexec_fn=pin, check=True,
+                           capture_output=True)
+            outputs.append(read_manifest(tmp_path / name)["outputs"])
+        assert outputs[0] == outputs[1]
 
     def test_zero_shadowing_reports_absolute_gap(self, tmp_path):
         # theory curve is identically zero, so rel_err must not divide by it

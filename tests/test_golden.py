@@ -5,19 +5,23 @@ Any change that moves an output byte fails here, so a refactor that claims
 byte-identical outputs is checked by the suite itself.  Floating-point
 results may differ between numpy and BLAS builds; the table records the
 versions it was taken with, and a mismatch prints both sets, so a failure
-on another build reads as such.  A declared golden change rewrites the
-table with `python tests/test_golden.py`.
+on another build reads as such.  Dense-route fields also depend on the
+number of BLAS threads, so the table records that too.  A declared golden
+change rewrites the table with `python tests/test_golden.py`.
 """
 
 import json
 import sys
 from pathlib import Path
 
+# before numpy, so a run as a script gets the package's one-thread BLAS default
+import irlv  # noqa: F401
 import numpy as np
 import pytest
 
 from irlv.cli import main
 from test_cli import CIRCULAR, STREET
+from test_packaging import blas_threads
 
 TABLE = Path(__file__).with_name("golden_outputs.json")
 
@@ -47,7 +51,8 @@ def case_id(case) -> str:
 
 def versions() -> dict[str, str]:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"blas": f"{blas['name']} {blas.get('version', '?')}", "numpy": np.__version__}
+    return {"blas": f"{blas['name']} {blas.get('version', '?')}", "numpy": np.__version__,
+            "blas_threads": str(blas_threads())}
 
 
 def output_hashes(case, jobs: int, work: Path) -> dict[str, str]:

@@ -1,7 +1,10 @@
-"""Packaging: the program runs on numpy alone, and pyproject.toml lists
-exactly the third-party modules it imports."""
+"""Packaging: the program runs on numpy alone, pyproject.toml lists
+exactly the third-party modules it imports, and importing irlv sets a
+one-thread BLAS default."""
 
 import ast
+import ctypes
+import glob
 import os
 import re
 import subprocess
@@ -29,6 +32,23 @@ def _third_party_imports() -> set[str]:
     return names - set(sys.stdlib_module_names) - {"irlv"}
 
 
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs with, or None when no
+    OpenBLAS thread query is found."""
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get_threads is not None:
+                    get_threads.restype = ctypes.c_int
+                    return get_threads()
+    return None
+
+
 def _distribution_name(requirement: str) -> str:
     return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
 
@@ -49,6 +69,34 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _import_cli_report_blas(**preset: str) -> list[str]:
+    """Import irlv.cli in a fresh process whose environment holds no
+    OPENBLAS_NUM_THREADS beyond `preset`; returns the variable's value and
+    OpenBLAS's thread count as that process sees them."""
+    code = ("import os, irlv.cli; from test_packaging import blas_threads; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], blas_threads())")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(preset, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(Path(__file__).parent)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.split()
+
+
+def test_cli_import_sets_one_blas_thread():
+    """irlv's parallelism is --jobs: importing the package sets one BLAS
+    thread before numpy loads, so OpenBLAS starts with one."""
+    setting, threads = _import_cli_report_blas()
+    assert setting == "1"
+    if threads == "None":
+        pytest.skip("no OpenBLAS thread query found in numpy.libs")
+    assert threads == "1"
+
+
+def test_preset_blas_threads_are_kept():
+    setting, _ = _import_cli_report_blas(OPENBLAS_NUM_THREADS="2")
+    assert setting == "2"
 
 
 def test_roc_run_loads_no_masked_arrays(tmp_path):
