@@ -219,12 +219,10 @@ def cmd_field(cfg: RunConfig, out, jobs: int) -> None:
         sums[0] += np.sum(v * v)
         counts[0] += v.size
         for k in range(1, max_k + 1):
-            if v.shape[1] > k:
-                sums[k] += np.sum(v[:, :-k] * v[:, k:])
-                counts[k] += v[:, k:].size
-            if v.shape[0] > k:
-                sums[k] += np.sum(v[:-k, :] * v[k:, :])
-                counts[k] += v[k:, :].size
+            # a lag beyond the grid slices to empty pairs, which add nothing
+            for a, b in ((v[:, :-k], v[:, k:]), (v[:-k], v[k:])):
+                sums[k] += np.sum(a * b)
+                counts[k] += b.size
     rows = ["lag_m,empirical,theory,rel_err"]
     max_rel_err = 0.0
     for k in range(max_k + 1):
@@ -319,9 +317,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out or cfg.directory)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
+        except OSError as exc:
             where = "--out" if args.out else "[output] directory"
-            raise ConfigError(f"{where} {out_dir}: not a directory ({exc.strerror})") from None
+            raise ConfigError(f"{where} {out_dir}: {exc.strerror}") from None
         names = []  # the files the run writes, in order
 
         def out(name: str) -> Path:

@@ -56,33 +56,26 @@ class RocCurve:
         md = np.asarray(p_md, dtype=float)
         if fa.shape != md.shape or fa.ndim != 1 or fa.size == 0:
             raise ValueError("need aligned nonempty p_fa and p_md")
-        th = None if thresholds is None else np.asarray(thresholds, dtype=float)
+        # absent thresholds ride along as NaN, and come back out as None
+        th = np.full(fa.shape, np.nan) if thresholds is None else np.asarray(thresholds, float)
         # best p_md first within each p_fa so the dedup below keeps it
         order = np.lexsort((md, fa))
-        fa, md = fa[order], md[order]
-        if th is not None:
-            th = th[order]
-        keep = np.empty(len(fa), dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(fa) > 0
-        fa, md = fa[keep], md[keep]
-        if th is not None:
-            th = th[keep]
+        fa, md, th = fa[order], md[order], th[order]
+        keep = np.concatenate([[True], np.diff(fa) > 0])
+        fa, md, th = fa[keep], md[keep], th[keep]
         md = np.minimum.accumulate(md)
         if fa[0] != 0.0:
             fa = np.concatenate([[0.0], fa])
             md = np.concatenate([[md[0]], md])
-            if th is not None:
-                th = np.concatenate([[np.nan], th])
+            th = np.concatenate([[np.nan], th])
         if fa[-1] != 1.0:
             fa = np.concatenate([fa, [1.0]])
             md = np.concatenate([md, [0.0]])
-            if th is not None:
-                th = np.concatenate([th, [np.nan]])
+            th = np.concatenate([th, [np.nan]])
         else:
             # always-reject limit dominates whatever was observed at p_fa = 1
             md[-1] = 0.0
-        return cls(p_fa=fa, p_md=md, thresholds=th)
+        return cls(p_fa=fa, p_md=md, thresholds=None if thresholds is None else th)
 
 
 def empirical_roc(scores, labels) -> RocCurve:
@@ -155,12 +148,9 @@ def complexity_report(n_ap: int, n_h: int, n_l: int, tau: int, p: int = 1) -> Co
 
 def roc_to_csv(roc: RocCurve, path) -> None:
     """CSV export: theta, p_fa, p_md when thresholds are carried, else p_fa, p_md."""
+    columns = {"theta": roc.thresholds, "p_fa": roc.p_fa, "p_md": roc.p_md}
+    columns = {name: values for name, values in columns.items() if values is not None}
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as f:
-        if roc.thresholds is not None:
-            f.write("theta,p_fa,p_md\n")
-            for th, fa, md in zip(roc.thresholds, roc.p_fa, roc.p_md):
-                f.write(f"{th:.17g},{fa:.17g},{md:.17g}\n")
-        else:
-            f.write("p_fa,p_md\n")
-            for fa, md in zip(roc.p_fa, roc.p_md):
-                f.write(f"{fa:.17g},{md:.17g}\n")
+        f.write(",".join(columns) + "\n")
+        f.writelines(row % values for values in zip(*columns.values()))

@@ -4,7 +4,6 @@ Each test states its quantitative bound inline; the terminal summary
 (see conftest) prints one PASS/FAIL line per criterion.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from irlv.channel import ChannelParams, generate_fields, generate_shadowing_field
+from irlv.cli import _map_jobs
 from irlv.dataset import generate_dataset, normalize, split
 from irlv.evaluation import complexity_report, empirical_roc
 from irlv.mlp import (
@@ -252,9 +252,8 @@ class TestSwarmSearch:
         lands within 0.05 mean AUC of planning against AUC directly,
         over 5 seeds with shared swarm initializations.  A seed's two
         searches run in lockstep in one call; the five seeds run on two
-        worker processes."""
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            values = list(pool.map(_final_aucs, range(5)))
+        worker processes of the CLI's --jobs pool."""
+        values = _map_jobs(_final_aucs, [(k,) for k in range(5)], 2)
         finals = {
             objective: float(np.mean([v[objective] for v in values]))
             for objective in (OBJECTIVE_CE, OBJECTIVE_AUC)

@@ -222,44 +222,6 @@ class TestGenerateShadowingField:
         seen = {field_seed(9, n) for n in range(8)}
         assert len(seen) == 8
 
-    def test_dense_field_pinned(self):
-        """A 6x6 dense-route field, bit for bit: any change to the factor's
-        arithmetic or to the draw order shows here."""
-        params = ChannelParams(d_c_m=80.0, grid_spacing_m=16.0)
-        f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
-        expected = [
-            [0.27354213803915045, 6.469850353029973, 10.922725049283223, 6.598715628618726, 4.033871988022671, 0.880157390203276],
-            [4.626932062875277, 6.211766787394501, 10.514914894232344, 0.737279574720886, 7.167913331567826, 3.2192059603562306],
-            [7.461644130686391, 6.651358351273201, 5.094325137412827, 5.458942812514961, 8.127353295505056, 4.625843069456341],
-            [5.442317442259834, 8.173193301059415, 3.211167828391381, -0.9253471668293551, 4.460472756636565, 1.453475468634192],
-            [-3.799620253262312, -2.1222119755881126, -2.379863703525144, -5.975741927653113, -7.4808177839054295, -3.3165964899796556],
-            [-0.7288626189966774, -3.9853225031473722, -7.783784663402403, -6.494706558691142, -4.293065195714877, -5.115186011753501],
-        ]
-        np.testing.assert_array_equal(f.values, expected)
-
-    def test_fft_field_pinned(self):
-        """A 51x51 grid (2601 nodes, just over the dense limit) takes the FFT
-        route; its corner blocks are pinned bit for bit."""
-        params = ChannelParams(grid_spacing_m=1.6)
-        f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
-        assert f.values.shape == (51, 51)
-        np.testing.assert_array_equal(
-            f.values[:3, :3],
-            [
-                [5.667285628553236, 9.005608198371377, 9.88633458993771],
-                [6.183027926930508, 9.920767972842464, 10.485956727461941],
-                [9.569267898365387, 8.052187485273993, 10.461354371197677],
-            ],
-        )
-        np.testing.assert_array_equal(
-            f.values[-3:, -3:],
-            [
-                [6.699742450586099, 7.556375100364988, 7.013620982639676],
-                [6.0888790111847015, 5.838996754794406, 5.003715489735548],
-                [6.061588062503595, 4.1063893892903724, 6.015775089046954],
-            ],
-        )
-
 
 # even, odd, mixed and non-square shapes, and the 106x106 street grid's embedding
 FFT_SHAPES = [(8, 8), (9, 9), (6, 9), (9, 6), (7, 12), (1, 5), (5, 1), (105, 212), (216, 216)]

@@ -408,15 +408,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("out, reason", [
         ("afile", "File exists"), ("afile/sub", "Not a directory"),
-    ], ids=["file", "under-a-file"])
+        ("a" * 300, "File name too long"),
+    ], ids=["file", "under-a-file", "overlong"])
     def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, out, reason):
-        """--out that names a file, or a path under one, is refused with
-        the config exit code and leaves the file as it was."""
+        """--out that names a file, a path under one, or any path the OS
+        refuses to make is refused with the config exit code and leaves the
+        file as it was."""
         cfg = write_cfg(tmp_path, CIRCULAR)
         (tmp_path / "afile").write_text("kept\n")
         assert run(["field", "--config", cfg, "--out", tmp_path / out]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: --out {tmp_path / out}: not a directory ({reason})\n")
+        assert capsys.readouterr().err == f"config error: --out {tmp_path / out}: {reason}\n"
         assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys):

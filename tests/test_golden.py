@@ -1,15 +1,22 @@
-"""Golden output pins: the sha256 of every file the four commands write on
-the tests/test_cli.py configs, checked against tests/golden_outputs.json.
+"""Golden pins, all in tests/golden_outputs.json and re-recorded by one command.
 
-Any change that moves an output byte fails here, so a refactor that claims
-byte-identical outputs is checked by the suite itself.  Floating-point
-results may differ between numpy and BLAS builds; the table records the
-versions it was taken with, and a mismatch prints both sets, so a failure
-on another build reads as such.  Dense-route fields also depend on the
-number of BLAS threads, so the table records that too.  A declared golden
-change rewrites the table with `python tests/test_golden.py`.
+- runs: the sha256 of every file the four commands write on the
+  tests/test_cli.py configs.
+- library: the exact values of a few seeded library calls (swarm runs,
+  placement scores, shadowing fields), each from a recipe below that
+  returns plain lists and floats; JSON keeps a float's repr, so every value
+  round-trips bit for bit.
+
+Any change that moves an output byte or a pinned value fails here, so a
+refactor that claims byte-identical outputs is checked by the suite itself.
+Floating-point results may differ between numpy and BLAS builds; the table
+records the versions it was taken with, and a mismatch prints both sets, so
+a failure on another build reads as such.  Dense-route fields also depend on
+the number of BLAS threads, so the table records that too.  A declared
+golden change rewrites both sections with `python tests/test_golden.py`.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,9 +26,22 @@ import irlv  # noqa: F401
 import numpy as np
 import pytest
 
+from irlv.channel import ChannelParams, generate_fields, generate_shadowing_field
 from irlv.cli import main
+from irlv.mlp import TrainConfig
+from irlv.planner import (
+    OBJECTIVE_CE,
+    PlacementEvalConfig,
+    PsoConfig,
+    Seeds,
+    evaluate_placement,
+    plan_placement,
+    run_pso,
+)
+from irlv.scenario import CircularScenario, StreetScenario
 from test_cli import CIRCULAR, STREET
 from test_packaging import blas_threads
+from test_planner import BOUNDS, _sphere
 
 TABLE = Path(__file__).with_name("golden_outputs.json")
 
@@ -76,8 +96,91 @@ def test_outputs_match_the_golden_table(tmp_path, case, jobs):
     )
 
 
+def _swarm_run(result) -> dict:
+    """The best position, the best-value history and every sweep's values."""
+    return {"best_x": result.best_x.tolist(), "history": result.history,
+            "particle_values": result.particle_values}
+
+
+def pso_sphere_runs():
+    """The swarm's random-number order and update rule: two short runs on
+    the sphere, free and from given starts (the third start lies outside the
+    box and is clipped to (10, 0))."""
+    cfg = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
+    starts = [[1.0, 9.0], [5.0, 5.0], [12.0, -1.0]]
+    return {
+        "free": _swarm_run(run_pso(_sphere, BOUNDS, 2, cfg, np.random.default_rng(11))),
+        "seeded": _swarm_run(run_pso(_sphere, BOUNDS, 2, cfg, np.random.default_rng(11), starts)),
+    }
+
+
+# the small street and disc training setup of the placement pins
+SMALL_EVAL = PlacementEvalConfig(channel=ChannelParams(), s_total=600, n_hidden=4, n_layers=2,
+                                 train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64))
+
+
+def own_placement_score(scenario, channel):
+    """The scenario's own placement, scored as a stack of one: the CE and
+    AUC that its single network got when roc and np-compare trained one,
+    with the mini-batch order drawn from the init seed."""
+    cfg = dataclasses.replace(SMALL_EVAL, channel=channel)
+    seeds = Seeds(field=1, dataset=2, init=3, pso=0)
+    [score] = evaluate_placement(scenario, generate_fields(scenario, channel, seeds.field),
+                                 cfg, seeds, np.array([scenario.bs_positions]))
+    return [score.ce_bits, score.auc_value]
+
+
+def street_plan_run():
+    """One small search on the street map with shadowing, taken when every
+    placement was trained alone, with the mini-batch order drawn from the
+    init seed."""
+    pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
+    [(result, aucs)] = plan_placement(StreetScenario.default(), SMALL_EVAL, Seeds(1, 2, 3, 0),
+                                      [(OBJECTIVE_CE, pso, np.random.default_rng(4))])
+    return {**_swarm_run(result), "aucs": aucs}
+
+
+def dense_field():
+    """A 6x6 dense-route field, bit for bit: any change to the factor's
+    arithmetic or to the draw order shows here."""
+    params = ChannelParams(d_c_m=80.0, grid_spacing_m=16.0)
+    return generate_shadowing_field(CircularScenario.default(), params, seed=11).values.tolist()
+
+
+def fft_field_corners():
+    """A 51x51 grid (2601 nodes, just over the dense limit) takes the FFT
+    route; its two 3x3 corner blocks, bit for bit."""
+    f = generate_shadowing_field(CircularScenario.default(), ChannelParams(grid_spacing_m=1.6),
+                                 seed=11)
+    assert f.values.shape == (51, 51)
+    return {"first": f.values[:3, :3].tolist(), "last": f.values[-3:, -3:].tolist()}
+
+
+# case -> zero-argument recipe of its pinned values
+LIBRARY = {
+    "run_pso-sphere": pso_sphere_runs,
+    "evaluate_placement-street": lambda: own_placement_score(StreetScenario.default(),
+                                                             ChannelParams()),
+    "evaluate_placement-disc": lambda: own_placement_score(CircularScenario.default(),
+                                                           ChannelParams(sigma_s_db=0.0)),
+    "plan_placement-street": street_plan_run,
+    "shadowing_field-dense": dense_field,
+    "shadowing_field-fft-corners": fft_field_corners,
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_values_match_the_golden_table(name):
+    table = json.loads(TABLE.read_text())
+    assert LIBRARY[name]() == table["library"][name], (
+        f"values of {name} moved; table taken with {table['versions']}, this run with {versions()}"
+    )
+
+
 def test_table_covers_exactly_the_cases():
-    assert sorted(json.loads(TABLE.read_text())["runs"]) == sorted(map(case_id, CASES))
+    table = json.loads(TABLE.read_text())
+    assert sorted(table["runs"]) == sorted(map(case_id, CASES))
+    assert sorted(table["library"]) == sorted(LIBRARY)
 
 
 if __name__ == "__main__":
@@ -85,6 +188,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as work:
         runs = {case_id(case): output_hashes(case, 1, Path(work)) for case in CASES}
-    TABLE.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1, sort_keys=True)
-                     + "\n")
-    print(f"wrote {len(runs)} cases to {TABLE}", file=sys.stderr)
+    library = {name: recipe() for name, recipe in LIBRARY.items()}
+    TABLE.write_text(json.dumps({"versions": versions(), "runs": runs, "library": library},
+                                indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(runs)} runs and {len(library)} library cases to {TABLE}", file=sys.stderr)
