@@ -149,18 +149,15 @@ def cmd_plan(cfg: RunConfig, out, jobs: int) -> None:
     """Placement searches per objective and seed, with best-value history
     CSVs and the per-iteration mean AUC across seeds.
 
-    A seed's searches share one evaluation config, so they run as one job
-    in lockstep (see plan_placement); --jobs splits the seeds.
+    A seed's searches differ only in their objective, so they run as one
+    job in lockstep (see plan_placement); --jobs splits the seeds.
     """
     objectives = (
         [OBJECTIVE_CE, OBJECTIVE_AUC] if cfg.objective == OBJECTIVE_BOTH
         else [cfg.objective]
     )
-    payloads = []
-    for k in range(cfg.sweep.n_seeds):
-        seeds = cfg.seeds.shifted(k)
-        searches = [(obj, cfg.pso, np.random.default_rng(seeds.pso)) for obj in objectives]
-        payloads.append((cfg.scenario, cfg.placement, seeds, searches))
+    payloads = [(cfg.scenario, cfg.placement, cfg.seeds.shifted(k), cfg.pso, objectives)
+                for k in range(cfg.sweep.n_seeds)]
     runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
             for obj, run in zip(objectives, seed_runs)}
     summary = {}

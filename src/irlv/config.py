@@ -115,7 +115,8 @@ def _parse(raw: str, section: str, key: str, kind):
         else:  # int or float
             value = kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind.__name__}") from None
+        what = "a comma-separated list of whole numbers" if kind is tuple else kind.__name__
+        raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {what}") from None
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite")
     return value

@@ -14,15 +14,15 @@ objective differences reflect placement alone.  The positions, labels,
 initial weights and mini-batch order are therefore shared by every
 placement: evaluate_placement draws the rows once and trains the networks
 of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
-training it alone.  plan_placement runs the searches that share one
-evaluation config (a seed's CE and AUC searches) in lockstep too: one
-field draw, one cache of placement scores and one stack per sweep for all
-of them, with each search's results as if it ran alone.
+training it alone.  A search is an objective: plan_placement runs one
+per objective (a seed's CE and AUC searches), all with one swarm config
+and seeds.pso, in lockstep: one field draw, one cache of placement scores
+and one stack per sweep, with each search's results as if it ran alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,30 +233,29 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig, seeds: Seeds,
             for c, roc in zip(ce, rocs)]
 
 
-def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, searches,
+def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoConfig, objectives,
                    initial_positions=None) -> list[tuple[PsoResult, list[float]]]:
-    """PSO over n_bs base-station positions on the scenario map, for
-    searches run in lockstep on one evaluation config.
+    """PSO over n_bs base-station positions on the scenario map, one search
+    per objective, run in lockstep on one evaluation config.
 
-    searches holds one (objective, PsoConfig, Generator) per search; the
-    objective is "ce" (training CE) or "auc" (test AUC).  initial_positions,
-    if given, holds one start (or None) per search.  The fields are drawn
-    once, from seeds.field, and each distinct placement is evaluated once,
-    whichever search reaches it: every sweep, the unseen placements of all
-    running searches go to evaluate_placement in one call, as one stack.  A search
-    leaves the loop when it stalls or reaches its max_iterations.  Returns
-    per search the swarm result and the test AUC of the best placement at
-    every iteration, each as if the search had run alone.
+    Each objective is "ce" (training CE) or "auc" (test AUC).  Every search
+    runs pso's swarm from default_rng(seeds.pso) and from initial_positions,
+    if given, so the searches differ only in what they minimize.  The fields
+    are drawn once, from seeds.field, and each distinct placement is
+    evaluated once, whichever search reaches it: every sweep, the unseen
+    placements of all running searches go to evaluate_placement in one
+    call, as one stack.  A search leaves the loop when it stalls or reaches
+    max_iterations.  Returns per search the swarm result and the test AUC
+    of the best placement at every iteration, each as if it ran alone.
     """
-    if any(objective not in (OBJECTIVE_CE, OBJECTIVE_AUC) for objective, _, _ in searches):
+    if any(objective not in (OBJECTIVE_CE, OBJECTIVE_AUC) for objective in objectives):
         raise ValueError(f"objective must be {OBJECTIVE_CE!r} or {OBJECTIVE_AUC!r}")
     fields = generate_fields(scenario, cfg.channel, seeds.field)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
-    starts = [None] * len(searches) if initial_positions is None else initial_positions
-    swarms = [_swarm(bounds, 2 * scenario.n_bs, pso, rng, x0)
-              for (_, pso, rng), x0 in zip(searches, starts, strict=True)]
+    swarms = [_swarm(bounds, 2 * scenario.n_bs, pso, np.random.default_rng(seeds.pso),
+                     initial_positions) for _ in objectives]
     sweeps = {i: next(search) for i, search in enumerate(swarms)}
     results = [None] * len(swarms)
     while sweeps:
@@ -268,7 +267,7 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, searches,
                          in zip(new, evaluate_placement(scenario, fields, cfg, seeds, placements)))
         for i, xs in list(sweeps.items()):
             try:
-                sweeps[i] = swarms[i].send([cache[x.tobytes()][searches[i][0]] for x in xs])
+                sweeps[i] = swarms[i].send([cache[x.tobytes()][objectives[i]] for x in xs])
             except StopIteration as stop:
                 results[i] = stop.value
                 del sweeps[i]
@@ -276,18 +275,21 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, searches,
 
 
 def plan_two_stage(scenario, cfg: PlacementEvalConfig, seeds: Seeds, stage1: PsoConfig,
-                   stage2: PsoConfig, rng: np.random.Generator
+                   stage2: PsoConfig
                    ) -> tuple[tuple[PsoResult, list[float]], tuple[PsoResult, list[float]]]:
     """A CE search with stage1's swarm settings, refined by an AUC search
     with stage2's, as in the paper; returns both plan_placement results.
 
     Stage two starts with one particle at the stage-one best placement and
-    the rest jittered around it (sigma = map extent / 20, clamped).
+    the rest jittered around it (sigma = map extent / 20, clamped).  Its
+    jitter and swarm seed come from the stream SeedSequence([seeds.pso, 2]),
+    so no stage-two draw repeats stage one's default_rng(seeds.pso).
     """
-    [(result1, aucs1)] = plan_placement(scenario, cfg, seeds, [(OBJECTIVE_CE, stage1, rng)])
+    [(result1, aucs1)] = plan_placement(scenario, cfg, seeds, stage1, [OBJECTIVE_CE])
+    rng = np.random.default_rng(np.random.SeedSequence([seeds.pso, 2]))
     xmin, ymin, xmax, ymax = scenario.bounds
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
     starts = np.tile(result1.best_x, (stage2.n_particles, 1))
     starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)
-    return (result1, aucs1), plan_placement(scenario, cfg, seeds, [(OBJECTIVE_AUC, stage2, rng)],
-                                            [starts])[0]
+    seeds2 = replace(seeds, pso=int(rng.integers(2**63)))
+    return (result1, aucs1), plan_placement(scenario, cfg, seeds2, stage2, [OBJECTIVE_AUC], starts)[0]

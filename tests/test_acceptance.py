@@ -209,11 +209,8 @@ def _placement_search(objectives, k: int, s_total: int, epochs: int, max_iterati
     )
     # plan_placement searches the map's bounds, (0, 0) to (525, 525)
     assert scenario.bounds == (0.0, 0.0, 525.0, 525.0)
-    seeds = _seeds(k)
-    runs = plan_placement(scenario, eval_cfg, seeds, [
-        (objective, PsoConfig(max_iterations=max_iterations), np.random.default_rng(seeds.pso))
-        for objective in objectives
-    ])
+    runs = plan_placement(scenario, eval_cfg, _seeds(k), PsoConfig(max_iterations=max_iterations),
+                          objectives)
     return {objective: (result, best_aucs[-1])
             for objective, (result, best_aucs) in zip(objectives, runs)}
 

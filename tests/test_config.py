@@ -128,6 +128,8 @@ class TestLoadConfig:
         ("[eval]\nresolution_rad = 0.01\n", r"^\[eval\] resolution_rad: must lie in \(0, 0.001\] rad$"),
         ("[sweep]\nn_hidden = 0,4\n", r"^\[sweep\] n_hidden: every width must be at least 1$"),
         ("[sweep]\ns_total = 0,300\n", r"^\[sweep\] s_total: every sample count must be at least 2$"),
+        ("[sweep]\ns_total = 2e2,300\n",
+         r"^\[sweep\] s_total: cannot read '2e2,300' as a comma-separated list of whole numbers$"),
         ("[dataset]\ns_total = 1\n", r"^\[dataset\] s_total: need at least 2 samples$"),
         ("[dataset]\ns_total = 3000\np0 = 0.0001\n",
          r"^\[dataset\] p0: 0.0001 of 3000 samples leaves one class without rows$"),
@@ -137,7 +139,8 @@ class TestLoadConfig:
         ("[dataset]\ns_total = 100\n",
          r"^\[nn\] batch_size: exceeds the training split of 100 samples$"),
     ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width",
-            "sweep-size", "dataset-size", "empty-class", "empty-class-in-sweep", "batch-in-split"])
+            "sweep-size", "sweep-list", "dataset-size", "empty-class", "empty-class-in-sweep",
+            "batch-in-split"])
     def test_bad_input_named_by_key(self, tmp_path, text, match):
         path = write_cfg(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=match):

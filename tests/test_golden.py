@@ -135,8 +135,8 @@ def street_plan_run():
     placement was trained alone, with the mini-batch order drawn from the
     init seed."""
     pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
-    [(result, aucs)] = plan_placement(StreetScenario.default(), SMALL_EVAL, Seeds(1, 2, 3, 0),
-                                      [(OBJECTIVE_CE, pso, np.random.default_rng(4))])
+    [(result, aucs)] = plan_placement(StreetScenario.default(), SMALL_EVAL, Seeds(1, 2, 3, 4), pso,
+                                      [OBJECTIVE_CE])
     return {**_swarm_run(result), "aucs": aucs}
 
 

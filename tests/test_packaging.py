@@ -1,6 +1,6 @@
 """Packaging: the program runs on numpy alone, pyproject.toml lists
-exactly the third-party modules it imports, and importing irlv sets a
-one-thread BLAS default."""
+exactly the third-party modules it imports, every import is used, and
+importing irlv sets a one-thread BLAS default."""
 
 import ast
 import ctypes
@@ -113,6 +113,41 @@ def test_roc_run_loads_no_masked_arrays(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, cwd=tmp_path)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names the module imports but never reads, as pyflakes' F401 finds
+    them: __future__ imports and lines marked `# noqa: F401` are exempt."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno])):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{name} (line {node.lineno})")
+    return unused
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\nimport numpy as np\nnp.zeros(os.cpu_count())\n", []),
+    ("import os.path\nfrom math import pi, tau\nprint(pi)\n", ["os (line 1)", "tau (line 2)"]),
+    ("from __future__ import annotations\nfrom a import (\n    b,\n)  # noqa: F401\n", []),
+    ("def f():\n    import json\n    return 1\n", ["json (line 2)"]),
+], ids=["used", "unused", "exempt", "local"])
+def test_unused_import_rule(source, unused):
+    assert _unused_imports(source) == unused
+
+
+def test_package_imports_are_used():
+    """No linter ships with the toolchain, so this is the package's
+    unused-import check."""
+    found = {path.name: _unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_dependencies_are_exactly_the_imports():

@@ -230,6 +230,12 @@ FAST_EVAL = PlacementEvalConfig(
 )
 FAST_SEEDS = Seeds(field=10, dataset=11, init=12, pso=0)
 
+STREET_EVAL = PlacementEvalConfig(
+    channel=ChannelParams(), s_total=600, n_hidden=4, n_layers=2,
+    train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64),
+)
+STREET_SEEDS = Seeds(field=1, dataset=2, init=3, pso=0)
+
 
 def _score(scenario, xy, cfg, seeds):
     """evaluate_placement of one placement, a stack of one, with its own fields."""
@@ -262,17 +268,15 @@ class TestEvaluatePlacement:
         score = _score(scenario, [30.0, 70.0], FAST_EVAL, FAST_SEEDS)
         for objective, expected in ((OBJECTIVE_CE, score.ce_bits), (OBJECTIVE_AUC, score.auc_value)):
             pso = PsoConfig(n_particles=1, max_iterations=0)
-            [(result, aucs)] = plan_placement(scenario, FAST_EVAL, FAST_SEEDS,
-                                              [(objective, pso, np.random.default_rng(0))],
-                                              initial_positions=[[[30.0, 70.0]]])
+            [(result, aucs)] = plan_placement(scenario, FAST_EVAL, FAST_SEEDS, pso, [objective],
+                                              initial_positions=[[30.0, 70.0]])
             assert result.history == [expected]
             assert aucs == [score.auc_value]
         assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
         with pytest.raises(ValueError, match="objective must be 'ce' or 'auc'"):
-            plan_placement(DiscRoiScenario(), FAST_EVAL, FAST_SEEDS,
-                           [("f1", PsoConfig(), np.random.default_rng(0))])
+            plan_placement(DiscRoiScenario(), FAST_EVAL, FAST_SEEDS, PsoConfig(), ["f1"])
 
 
 class TestPlanPlacement:
@@ -285,6 +289,9 @@ class TestPlanPlacement:
     )
     GRID_SEEDS = Seeds(field=20, dataset=21, init=22, pso=0)
 
+    def _seeds(self, pso: int) -> Seeds:
+        return dataclasses.replace(self.GRID_SEEDS, pso=pso)
+
     def test_matches_grid_search_on_one_bs_toy(self):
         """Dense grid search over the map is the oracle; the swarm must get
         within 5% of its best objective."""
@@ -296,15 +303,13 @@ class TestPlanPlacement:
             for y in grid
         )
         pso = PsoConfig(n_particles=5, max_iterations=40, stall_iterations=8)
-        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, self.GRID_SEEDS,
-                                       [(OBJECTIVE_CE, pso, np.random.default_rng(1))])
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, self._seeds(1), pso, [OBJECTIVE_CE])
         assert result.best_value <= grid_best * 1.05 + 1e-3
 
     def test_history_monotone(self):
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=4, stall_iterations=2)
-        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, self.GRID_SEEDS,
-                                       [(OBJECTIVE_CE, pso, np.random.default_rng(2))])
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, self._seeds(2), pso, [OBJECTIVE_CE])
         assert all(b <= a for a, b in zip(result.history, result.history[1:]))
 
     def test_fields_drawn_once_per_run(self, monkeypatch):
@@ -319,8 +324,8 @@ class TestPlanPlacement:
         monkeypatch.setattr("irlv.planner.generate_fields", counting)
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)
-        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL, self.GRID_SEEDS,
-                                          [(OBJECTIVE_CE, pso, np.random.default_rng(5))])
+        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL, self._seeds(5), pso,
+                                          [OBJECTIVE_CE])
         assert len(calls) == 1
         assert len(result.particle_values) == 4  # 12 evaluated placements
         assert aucs == [_score(scenario, x, self.GRID_EVAL, self.GRID_SEEDS).auc_value
@@ -341,9 +346,8 @@ class TestPlanPlacement:
         starts = [[-5.0, -5.0], [30.0, 70.0], [-1.0, -20.0]]  # first and last clamp to (0, 0)
         frozen = PsoConfig(n_particles=3, inertia=0.0, c1=0.0, c2=0.0, max_iterations=2,
                            stall_iterations=3)
-        [(result, aucs)] = plan_placement(
-            scenario, self.GRID_EVAL, self.GRID_SEEDS, [(OBJECTIVE_CE, frozen, np.random.default_rng(6))],
-            [starts])
+        [(result, aucs)] = plan_placement(scenario, self.GRID_EVAL, self._seeds(6), frozen,
+                                          [OBJECTIVE_CE], starts)
         assert len(evaluated) == 1
         np.testing.assert_array_equal(evaluated[0], [[[0.0, 0.0]], [[30.0, 70.0]]])
         first = result.particle_values[0]
@@ -353,9 +357,8 @@ class TestPlanPlacement:
 
         evaluated.clear()
         moving = PsoConfig(n_particles=4, max_iterations=3, stall_iterations=3)
-        [(result, _)] = plan_placement(
-            scenario, self.GRID_EVAL, self.GRID_SEEDS, [(OBJECTIVE_CE, moving, np.random.default_rng(7))],
-            [[[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]]])
+        [(result, _)] = plan_placement(scenario, self.GRID_EVAL, self._seeds(7), moving, [OBJECTIVE_CE],
+                                       [[0.0, 0.0], [-3.0, 0.0], [50.0, 50.0], [50.0, 50.0]])
         rows = np.concatenate(evaluated).reshape(-1, 2)
         assert len(evaluated) <= len(result.particle_values)
         assert len(rows) == len(np.unique(rows, axis=0)) <= 4 * len(result.particle_values) - 2
@@ -364,7 +367,7 @@ class TestPlanPlacement:
         scenario = DiscRoiScenario()
         stage1 = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
         (result1, aucs1), (result2, aucs2) = plan_two_stage(
-            scenario, self.GRID_EVAL, self.GRID_SEEDS, stage1, stage1, np.random.default_rng(3))
+            scenario, self.GRID_EVAL, self._seeds(3), stage1, stage1)
         assert len(aucs1) == len(result1.history)
         # stage 2's first particle sits at the stage-1 best, scored in AUC units
         assert result2.particle_values[0][0] == aucs1[-1]
@@ -377,30 +380,25 @@ class TestLockstep:
     field draw, one cache and one stack per sweep, with each search's
     results bit-identical to running it alone."""
 
-    STREET_EVAL = PlacementEvalConfig(
-        channel=ChannelParams(), s_total=600, n_hidden=4, n_layers=2,
-        train=TrainConfig(learning_rate=0.5, epochs=5, batch_size=64),
-    )
-    STREET_SEEDS = Seeds(field=1, dataset=2, init=3, pso=0)
-
-    @staticmethod
-    def _searches(ce, auc_cfg):
-        return [(OBJECTIVE_CE, ce, np.random.default_rng(4)),
-                (OBJECTIVE_AUC, auc_cfg, np.random.default_rng(4))]
-
-    @pytest.mark.parametrize("ce, auc_cfg", [
-        (PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3),) * 2,
-        (PsoConfig(n_particles=3, max_iterations=1, stall_iterations=3),
-         PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3)),
-        (PsoConfig(n_particles=3, max_iterations=4, stall_iterations=3),
-         PsoConfig(n_particles=3, max_iterations=4, stall_iterations=1, stall_tolerance=1.0)),
-    ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first"])
-    def test_matches_searches_run_alone(self, ce, auc_cfg):
+    @pytest.mark.parametrize("pso_seed, pso, stops", [
+        (4, PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3),
+         [(3, False), (3, False)]),
+        (4, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2, stall_tolerance=0.01),
+         [(5, False), (4, True)]),
+        (0, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
+         [(5, True), (3, True)]),
+        (2, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
+         [(2, True), (5, False)]),
+    ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first", "ce-stalls-first"])
+    def test_matches_searches_run_alone(self, pso_seed, pso, stops):
+        """stops pins each search's (n_iterations, converged), CE's first:
+        the searches stop together, or either one leaves the loop first."""
         scenario = StreetScenario.default()
-        searches = self._searches(ce, auc_cfg)
-        together = plan_placement(scenario, self.STREET_EVAL, self.STREET_SEEDS, searches)
-        alone = [plan_placement(scenario, self.STREET_EVAL, self.STREET_SEEDS, [search])[0]
-                 for search in self._searches(ce, auc_cfg)]
+        seeds = dataclasses.replace(STREET_SEEDS, pso=pso_seed)
+        objectives = [OBJECTIVE_CE, OBJECTIVE_AUC]
+        together = plan_placement(scenario, STREET_EVAL, seeds, pso, objectives)
+        alone = [plan_placement(scenario, STREET_EVAL, seeds, pso, [objective])[0]
+                 for objective in objectives]
         for (r, aucs), (a, alone_aucs) in zip(together, alone):
             assert r.history == a.history
             assert np.array_equal(r.best_x, a.best_x)
@@ -409,16 +407,17 @@ class TestLockstep:
             assert r.particle_values == a.particle_values
             assert (r.n_iterations, r.converged) == (a.n_iterations, a.converged)
             assert aucs == alone_aucs
-        if ce != auc_cfg:  # one search left the loop before the other
+        assert [(r.n_iterations, r.converged) for r, _ in together] == stops
+        if stops[0] != stops[1]:  # one search left the loop before the other
             assert together[0][0].n_iterations != together[1][0].n_iterations
 
     def test_shared_first_sweep_trained_once(self, monkeypatch):
         """Both searches start from the same swarm, so the first call
-        trains its placements once.  The AUC search's other inertia moves
-        the swarms apart from the first step on, whichever particles the
-        objectives pick, so every later call trains both swarms: every
-        distinct placement of either search is trained once, in one call
-        per sweep."""
+        trains its placements once.  At this seed the two objectives pick
+        different global bests in that sweep, which moves the swarms apart
+        from the first step on, so every later call trains both swarms:
+        every distinct placement of either search is trained once, in one
+        call per sweep."""
         evaluated, scores = [], []
 
         def spy(*args):
@@ -429,13 +428,88 @@ class TestLockstep:
         monkeypatch.setattr("irlv.planner.evaluate_placement", spy)
         pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
         (ce_run, _), (auc_run, _) = plan_placement(
-            StreetScenario.default(), self.STREET_EVAL, self.STREET_SEEDS,
-            self._searches(pso, dataclasses.replace(pso, inertia=0.5)))
+            StreetScenario.default(), STREET_EVAL, STREET_SEEDS, pso, [OBJECTIVE_CE, OBJECTIVE_AUC])
         assert [len(e) for e in evaluated] == [3, 6, 6]  # one shared sweep, then both swarms
         rows = np.concatenate(evaluated).reshape(15, -1)
         assert len(np.unique(rows, axis=0)) == 15
         assert ce_run.particle_values[0] == [s.ce_bits for s in scores[0]]
         assert auc_run.particle_values[0] == [s.auc_value for s in scores[0]]
+        assert np.argmin(ce_run.particle_values[0]) != np.argmin(auc_run.particle_values[0])
+
+
+class TestSwarmSeed:
+    """Every swarm plan_placement runs is drawn from seeds.pso, and
+    plan_two_stage's second stage from a stream of its own."""
+
+    PSO = PsoConfig(n_particles=3, max_iterations=0)
+
+    @staticmethod
+    def _first_sweep(monkeypatch, seeds):
+        """The placements a one-search CE call sends to its first evaluation."""
+        evaluated = []
+
+        def spy(*args):
+            evaluated.append(np.array(args[4]))
+            return evaluate_placement(*args)
+
+        monkeypatch.setattr("irlv.planner.evaluate_placement", spy)
+        plan_placement(StreetScenario.default(), STREET_EVAL, seeds, TestSwarmSeed.PSO,
+                       [OBJECTIVE_CE])
+        return evaluated[0].reshape(TestSwarmSeed.PSO.n_particles, -1)
+
+    def test_first_sweep_is_run_psos(self, monkeypatch):
+        scenario = StreetScenario.default()
+        xmin, ymin, xmax, ymax = scenario.bounds
+        bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
+        sweeps = []
+
+        def spy(x):
+            sweeps.append(x.copy())
+            return np.zeros(len(x))
+
+        seeds = dataclasses.replace(STREET_SEEDS, pso=7)
+        run_pso(spy, bounds, 2 * scenario.n_bs, self.PSO, np.random.default_rng(7))
+        np.testing.assert_array_equal(self._first_sweep(monkeypatch, seeds), sweeps[0])
+
+    def test_pso_seed_moves_the_first_sweep(self, monkeypatch):
+        first = self._first_sweep(monkeypatch, STREET_SEEDS)
+        other = self._first_sweep(monkeypatch, dataclasses.replace(STREET_SEEDS, pso=1))
+        assert not np.any(first == other)
+
+    @staticmethod
+    def _two_stage(monkeypatch, seeds):
+        """plan_two_stage's results, with the seeds and starts of its second
+        plan_placement call."""
+        calls = []
+
+        def spy(scenario, cfg, seeds, pso, objectives, initial_positions=None):
+            calls.append((seeds, initial_positions))
+            return plan_placement(scenario, cfg, seeds, pso, objectives, initial_positions)
+
+        monkeypatch.setattr("irlv.planner.plan_placement", spy)
+        pso = PsoConfig(n_particles=3, max_iterations=1, stall_iterations=3)
+        runs = plan_two_stage(StreetScenario.default(), STREET_EVAL, seeds, pso, pso)
+        return runs, calls[1]
+
+    def test_two_stage_deterministic_and_seeded_by_pso(self, monkeypatch):
+        (run1, run2), (seeds2, starts) = self._two_stage(monkeypatch, STREET_SEEDS)
+        (again1, again2), (seeds2_again, starts_again) = self._two_stage(monkeypatch, STREET_SEEDS)
+        for (r, aucs), (a, again_aucs) in ((run1, again1), (run2, again2)):
+            assert (r.history, r.particle_values, aucs) == (a.history, a.particle_values, again_aucs)
+            np.testing.assert_array_equal(r.best_x, a.best_x)
+        assert seeds2 == seeds2_again
+        np.testing.assert_array_equal(starts, starts_again)
+        # stage two keeps the evaluation seeds and starts at stage one's best,
+        # but its swarm seed is not stage one's
+        assert dataclasses.replace(seeds2, pso=STREET_SEEDS.pso) == STREET_SEEDS
+        assert seeds2.pso != STREET_SEEDS.pso
+        np.testing.assert_array_equal(starts[0], run1[0].best_x)
+
+        _, (other_seeds2, other_starts) = self._two_stage(
+            monkeypatch, dataclasses.replace(STREET_SEEDS, pso=1))
+        assert other_seeds2.pso != seeds2.pso
+        jitter, other_jitter = starts[1:] - starts[0], other_starts[1:] - other_starts[0]
+        assert not np.any(jitter == other_jitter)
 
 
 def test_run_pso_rejects_wrong_objective_shape():
