@@ -42,11 +42,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _tagged_rng(seed: int, tag: int) -> np.random.Generator:
-    """Independent stream for one (seed, purpose) pair."""
-    return np.random.default_rng(np.random.SeedSequence([seed, tag]))
-
-
 def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
@@ -114,7 +109,8 @@ def cmd_np_compare(cfg: RunConfig, out, jobs: int) -> None:
 
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
-    np_curve = np_roc(geometry, cfg.eval.n_np_samples, thetas, _tagged_rng(cfg.seeds.dataset, 1))
+    rng = np.random.default_rng([cfg.seeds.dataset, 1])
+    np_curve = np_roc(geometry, cfg.eval.n_np_samples, thetas, rng)
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])

@@ -15,14 +15,15 @@ initial weights and mini-batch order are therefore shared by every
 placement: evaluate_placement draws the rows once and trains the networks
 of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
 training it alone.  A search is an objective: plan_placement runs one
-per objective (a seed's CE and AUC searches), all with one swarm config
-and seeds.pso, in lockstep: one field draw, one cache of placement scores
-and one stack per sweep, with each search's results as if it ran alone.
+per objective (CE, AUC, or the paper's two-stage CE-then-AUC search), all
+with one swarm config and seeds.pso, in lockstep: one field draw, one cache
+of placement scores and one stack per sweep for every stage of every
+search, with each search's results as if it ran alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .mlp import TrainConfig, default_layer_sizes, forward, init_mlp, train
 
 OBJECTIVE_CE = "ce"
 OBJECTIVE_AUC = "auc"
+OBJECTIVE_TWO_STAGE = "two-stage"
 
 
 @dataclass(frozen=True)
@@ -238,26 +240,36 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoCon
     """PSO over n_bs base-station positions on the scenario map, one search
     per objective, run in lockstep on one evaluation config.
 
-    Each objective is "ce" (training CE) or "auc" (test AUC).  Every search
-    runs pso's swarm from default_rng(seeds.pso) and from initial_positions,
-    if given, so the searches differ only in what they minimize.  The fields
-    are drawn once, from seeds.field, and each distinct placement is
-    evaluated once, whichever search reaches it: every sweep, the unseen
-    placements of all running searches go to evaluate_placement in one
-    call, as one stack.  A search leaves the loop when it stalls or reaches
-    max_iterations.  Returns per search the swarm result and the test AUC
-    of the best placement at every iteration, each as if it ran alone.
+    Each objective is "ce" (training CE), "auc" (test AUC) or "two-stage",
+    the paper's search: a CE stage whose stop starts an AUC stage with one
+    particle at its best placement and the rest jittered around it (sigma =
+    map extent / 20, clamped).  Every search starts pso's swarm from
+    default_rng(seeds.pso) and from initial_positions, if given, so the
+    searches differ only in what they minimize; a second stage draws its
+    jitter, then its swarm seed, from default_rng([seeds.pso, 2]).  The
+    fields are drawn once, from seeds.field, and each distinct placement is
+    evaluated once, whichever stage reaches it: every sweep, the unseen
+    placements of all running stages go to evaluate_placement in one call,
+    as one stack.  A stage stops when it stalls or reaches max_iterations.
+    Returns per search stage, in objective order, the swarm result and the
+    test AUC of the best placement at every iteration, each as if it ran
+    alone.
     """
-    if any(objective not in (OBJECTIVE_CE, OBJECTIVE_AUC) for objective in objectives):
-        raise ValueError(f"objective must be {OBJECTIVE_CE!r} or {OBJECTIVE_AUC!r}")
+    if any(o not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_TWO_STAGE) for o in objectives):
+        raise ValueError(f"objective must be {OBJECTIVE_CE!r}, {OBJECTIVE_AUC!r} "
+                         f"or {OBJECTIVE_TWO_STAGE!r}")
     fields = generate_fields(scenario, cfg.channel, seeds.field)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
-    swarms = [_swarm(bounds, 2 * scenario.n_bs, pso, np.random.default_rng(seeds.pso),
-                     initial_positions) for _ in objectives]
-    sweeps = {i: next(search) for i, search in enumerate(swarms)}
-    results = [None] * len(swarms)
+    sigma = max(xmax - xmin, ymax - ymin) / 20.0
+    # one objective per search stage; None marks a two-stage search's second, AUC stage
+    stages = [s for o in objectives
+              for s in ((OBJECTIVE_CE, None) if o == OBJECTIVE_TWO_STAGE else (o,))]
+    swarms = {i: _swarm(bounds, 2 * scenario.n_bs, pso, np.random.default_rng(seeds.pso),
+                        initial_positions) for i, stage in enumerate(stages) if stage}
+    sweeps = {i: next(search) for i, search in swarms.items()}
+    results = [None] * len(stages)
     while sweeps:
         rows = np.concatenate(list(sweeps.values()))
         new = {row.tobytes(): row for row in rows if row.tobytes() not in cache}
@@ -267,29 +279,16 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoCon
                          in zip(new, evaluate_placement(scenario, fields, cfg, seeds, placements)))
         for i, xs in list(sweeps.items()):
             try:
-                sweeps[i] = swarms[i].send([cache[x.tobytes()][objectives[i]] for x in xs])
+                sweeps[i] = swarms[i].send(
+                    [cache[x.tobytes()][stages[i] or OBJECTIVE_AUC] for x in xs])
             except StopIteration as stop:
                 results[i] = stop.value
                 del sweeps[i]
+                if i + 1 < len(stages) and stages[i + 1] is None:
+                    rng = np.random.default_rng([seeds.pso, 2])
+                    starts = np.tile(results[i].best_x, (pso.n_particles, 1))
+                    starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)
+                    swarms[i + 1] = _swarm(bounds, 2 * scenario.n_bs, pso,
+                                           np.random.default_rng(rng.integers(2**63)), starts)
+                    sweeps[i + 1] = next(swarms[i + 1])
     return [(r, [cache[x.tobytes()][OBJECTIVE_AUC] for x in r.best_x_history]) for r in results]
-
-
-def plan_two_stage(scenario, cfg: PlacementEvalConfig, seeds: Seeds, stage1: PsoConfig,
-                   stage2: PsoConfig
-                   ) -> tuple[tuple[PsoResult, list[float]], tuple[PsoResult, list[float]]]:
-    """A CE search with stage1's swarm settings, refined by an AUC search
-    with stage2's, as in the paper; returns both plan_placement results.
-
-    Stage two starts with one particle at the stage-one best placement and
-    the rest jittered around it (sigma = map extent / 20, clamped).  Its
-    jitter and swarm seed come from the stream SeedSequence([seeds.pso, 2]),
-    so no stage-two draw repeats stage one's default_rng(seeds.pso).
-    """
-    [(result1, aucs1)] = plan_placement(scenario, cfg, seeds, stage1, [OBJECTIVE_CE])
-    rng = np.random.default_rng(np.random.SeedSequence([seeds.pso, 2]))
-    xmin, ymin, xmax, ymax = scenario.bounds
-    sigma = max(xmax - xmin, ymax - ymin) / 20.0
-    starts = np.tile(result1.best_x, (stage2.n_particles, 1))
-    starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)
-    seeds2 = replace(seeds, pso=int(rng.integers(2**63)))
-    return (result1, aucs1), plan_placement(scenario, cfg, seeds2, stage2, [OBJECTIVE_AUC], starts)[0]

@@ -31,6 +31,7 @@ from irlv.cli import main
 from irlv.mlp import TrainConfig
 from irlv.planner import (
     OBJECTIVE_CE,
+    OBJECTIVE_TWO_STAGE,
     PlacementEvalConfig,
     PsoConfig,
     Seeds,
@@ -140,6 +141,15 @@ def street_plan_run():
     return {**_swarm_run(result), "aucs": aucs}
 
 
+def street_two_stage_run():
+    """The two-stage search on the street map: a CE stage, then an AUC stage
+    from its best placement, with the same swarm settings."""
+    pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
+    stages = plan_placement(StreetScenario.default(), SMALL_EVAL, Seeds(1, 2, 3, 0), pso,
+                            [OBJECTIVE_TWO_STAGE])
+    return [{**_swarm_run(result), "aucs": aucs} for result, aucs in stages]
+
+
 def dense_field():
     """A 6x6 dense-route field, bit for bit: any change to the factor's
     arithmetic or to the draw order shows here."""
@@ -164,6 +174,7 @@ LIBRARY = {
     "evaluate_placement-disc": lambda: own_placement_score(CircularScenario.default(),
                                                            ChannelParams(sigma_s_db=0.0)),
     "plan_placement-street": street_plan_run,
+    "plan_placement-street-two-stage": street_two_stage_run,
     "shadowing_field-dense": dense_field,
     "shadowing_field-fft-corners": fft_field_corners,
 }

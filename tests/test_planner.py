@@ -12,12 +12,13 @@ from irlv.mlp import TrainConfig
 from irlv.planner import (
     OBJECTIVE_AUC,
     OBJECTIVE_CE,
+    OBJECTIVE_TWO_STAGE,
     PlacementEvalConfig,
     PsoConfig,
     Seeds,
+    _swarm,
     evaluate_placement,
     plan_placement,
-    plan_two_stage,
     run_pso,
 )
 from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, Position, StreetScenario
@@ -275,7 +276,7 @@ class TestEvaluatePlacement:
         assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
-        with pytest.raises(ValueError, match="objective must be 'ce' or 'auc'"):
+        with pytest.raises(ValueError, match="objective must be 'ce', 'auc' or 'two-stage'"):
             plan_placement(DiscRoiScenario(), FAST_EVAL, FAST_SEEDS, PsoConfig(), ["f1"])
 
 
@@ -365,9 +366,9 @@ class TestPlanPlacement:
 
     def test_two_stage_refinement(self):
         scenario = DiscRoiScenario()
-        stage1 = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
-        (result1, aucs1), (result2, aucs2) = plan_two_stage(
-            scenario, self.GRID_EVAL, self._seeds(3), stage1, stage1)
+        pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
+        (result1, aucs1), (result2, aucs2) = plan_placement(
+            scenario, self.GRID_EVAL, self._seeds(3), pso, [OBJECTIVE_TWO_STAGE])
         assert len(aucs1) == len(result1.history)
         # stage 2's first particle sits at the stage-1 best, scored in AUC units
         assert result2.particle_values[0][0] == aucs1[-1]
@@ -380,25 +381,29 @@ class TestLockstep:
     field draw, one cache and one stack per sweep, with each search's
     results bit-identical to running it alone."""
 
-    @pytest.mark.parametrize("pso_seed, pso, stops", [
+    @pytest.mark.parametrize("pso_seed, pso, objectives, stops", [
         (4, PsoConfig(n_particles=3, max_iterations=3, stall_iterations=3),
-         [(3, False), (3, False)]),
+         [OBJECTIVE_CE, OBJECTIVE_AUC], [(3, False), (3, False)]),
         (4, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2, stall_tolerance=0.01),
-         [(5, False), (4, True)]),
+         [OBJECTIVE_CE, OBJECTIVE_AUC], [(5, False), (4, True)]),
         (0, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
-         [(5, True), (3, True)]),
+         [OBJECTIVE_CE, OBJECTIVE_AUC], [(5, True), (3, True)]),
         (2, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
-         [(2, True), (5, False)]),
-    ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first", "ce-stalls-first"])
-    def test_matches_searches_run_alone(self, pso_seed, pso, stops):
-        """stops pins each search's (n_iterations, converged), CE's first:
-        the searches stop together, or either one leaves the loop first."""
+         [OBJECTIVE_CE, OBJECTIVE_AUC], [(2, True), (5, False)]),
+        (2, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
+         [OBJECTIVE_CE, OBJECTIVE_TWO_STAGE], [(2, True), (2, True), (2, True)]),
+    ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first", "ce-stalls-first",
+            "two-stage-beside-ce"])
+    def test_matches_searches_run_alone(self, pso_seed, pso, objectives, stops):
+        """stops pins each stage's (n_iterations, converged), in objective
+        order: the searches stop together, or either one leaves the loop
+        first, or a second stage runs on after the search beside it."""
         scenario = StreetScenario.default()
         seeds = dataclasses.replace(STREET_SEEDS, pso=pso_seed)
-        objectives = [OBJECTIVE_CE, OBJECTIVE_AUC]
         together = plan_placement(scenario, STREET_EVAL, seeds, pso, objectives)
-        alone = [plan_placement(scenario, STREET_EVAL, seeds, pso, [objective])[0]
-                 for objective in objectives]
+        alone = [stage for objective in objectives
+                 for stage in plan_placement(scenario, STREET_EVAL, seeds, pso, [objective])]
+        assert len(together) == len(alone) == len(stops)
         for (r, aucs), (a, alone_aucs) in zip(together, alone):
             assert r.history == a.history
             assert np.array_equal(r.best_x, a.best_x)
@@ -436,10 +441,42 @@ class TestLockstep:
         assert auc_run.particle_values[0] == [s.auc_value for s in scores[0]]
         assert np.argmin(ce_run.particle_values[0]) != np.argmin(auc_run.particle_values[0])
 
+    def test_two_stage_trains_stage_one_once(self, monkeypatch):
+        """A two-stage search scores its second stage through the fields and
+        cache of its first, so the stage-one best that stage two starts from
+        is not trained again (17 distinct placements in 18 particles), and
+        beside a CE search its first stage trains nothing of its own."""
+        draws, trained = [], []
+
+        def counting_fields(*args):
+            draws.append(args)
+            return generate_fields(*args)
+
+        def counting_evaluate(*args):
+            trained.append(len(args[4]))
+            return evaluate_placement(*args)
+
+        monkeypatch.setattr("irlv.planner.generate_fields", counting_fields)
+        monkeypatch.setattr("irlv.planner.evaluate_placement", counting_evaluate)
+        pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
+        two, ce_only = (OBJECTIVE_TWO_STAGE,), (OBJECTIVE_CE,)
+        ce_two = ce_only + two
+        runs, counts = {}, {}
+        for objectives in (two, ce_two, ce_only):
+            draws.clear()
+            trained.clear()
+            runs[objectives] = plan_placement(StreetScenario.default(), STREET_EVAL, STREET_SEEDS,
+                                              pso, list(objectives))
+            counts[objectives] = (len(draws), sum(trained))
+        assert counts == {two: (1, 17), ce_two: (1, 17), ce_only: (1, 9)}
+        [(ce, ce_aucs)] = runs[ce_only]
+        for stage, aucs in runs[two][:1] + runs[ce_two][:2]:
+            assert (stage.history, aucs) == (ce.history, ce_aucs)
+
 
 class TestSwarmSeed:
-    """Every swarm plan_placement runs is drawn from seeds.pso, and
-    plan_two_stage's second stage from a stream of its own."""
+    """Every swarm plan_placement starts is drawn from seeds.pso, and a
+    two-stage search's second stage from a stream of its own."""
 
     PSO = PsoConfig(n_particles=3, max_iterations=0)
 
@@ -478,36 +515,47 @@ class TestSwarmSeed:
 
     @staticmethod
     def _two_stage(monkeypatch, seeds):
-        """plan_two_stage's results, with the seeds and starts of its second
-        plan_placement call."""
-        calls = []
+        """A two-stage search's stages, the seeds of every evaluate_placement
+        call, and the generator state and starts of each swarm it builds."""
+        evaluated, swarms = [], []
 
-        def spy(scenario, cfg, seeds, pso, objectives, initial_positions=None):
-            calls.append((seeds, initial_positions))
-            return plan_placement(scenario, cfg, seeds, pso, objectives, initial_positions)
+        def evaluate_spy(*args):
+            evaluated.append(args[3])
+            return evaluate_placement(*args)
 
-        monkeypatch.setattr("irlv.planner.plan_placement", spy)
+        def swarm_spy(bounds, dim, config, rng, initial_positions):
+            swarms.append((rng.bit_generator.state, initial_positions))
+            return _swarm(bounds, dim, config, rng, initial_positions)
+
+        monkeypatch.setattr("irlv.planner.evaluate_placement", evaluate_spy)
+        monkeypatch.setattr("irlv.planner._swarm", swarm_spy)
         pso = PsoConfig(n_particles=3, max_iterations=1, stall_iterations=3)
-        runs = plan_two_stage(StreetScenario.default(), STREET_EVAL, seeds, pso, pso)
-        return runs, calls[1]
+        stages = plan_placement(StreetScenario.default(), STREET_EVAL, seeds, pso,
+                                [OBJECTIVE_TWO_STAGE])
+        return stages, evaluated, swarms
 
     def test_two_stage_deterministic_and_seeded_by_pso(self, monkeypatch):
-        (run1, run2), (seeds2, starts) = self._two_stage(monkeypatch, STREET_SEEDS)
-        (again1, again2), (seeds2_again, starts_again) = self._two_stage(monkeypatch, STREET_SEEDS)
+        (run1, run2), evaluated, [(state1, starts1), (state2, starts)] = self._two_stage(
+            monkeypatch, STREET_SEEDS)
+        (again1, again2), _, [_, (state2_again, starts_again)] = self._two_stage(
+            monkeypatch, STREET_SEEDS)
         for (r, aucs), (a, again_aucs) in ((run1, again1), (run2, again2)):
             assert (r.history, r.particle_values, aucs) == (a.history, a.particle_values, again_aucs)
             np.testing.assert_array_equal(r.best_x, a.best_x)
-        assert seeds2 == seeds2_again
+        assert state2 == state2_again
         np.testing.assert_array_equal(starts, starts_again)
-        # stage two keeps the evaluation seeds and starts at stage one's best,
-        # but its swarm seed is not stage one's
-        assert dataclasses.replace(seeds2, pso=STREET_SEEDS.pso) == STREET_SEEDS
-        assert seeds2.pso != STREET_SEEDS.pso
+        # every evaluation gets the run's seeds; stage one's swarm comes from
+        # seeds.pso, and stage two starts at stage one's best with a swarm
+        # seed that is not seeds.pso
+        assert evaluated and all(seeds == STREET_SEEDS for seeds in evaluated)
+        assert state1 == np.random.default_rng(STREET_SEEDS.pso).bit_generator.state
+        assert starts1 is None
+        assert state2 != state1
         np.testing.assert_array_equal(starts[0], run1[0].best_x)
 
-        _, (other_seeds2, other_starts) = self._two_stage(
+        _, _, [_, (other_state2, other_starts)] = self._two_stage(
             monkeypatch, dataclasses.replace(STREET_SEEDS, pso=1))
-        assert other_seeds2.pso != seeds2.pso
+        assert other_state2 != state2
         jitter, other_jitter = starts[1:] - starts[0], other_starts[1:] - other_starts[0]
         assert not np.any(jitter == other_jitter)
 
