@@ -11,7 +11,9 @@ shadowing with exponential spatial covariance
     cov(a_s at p, a_s at q) = sigma_s^2 * exp(-|p - q| / d_c).
 
 Shadowing is realized as one spatially correlated map per base station,
-sampled on a regular grid and interpolated bilinearly.
+sampled on a regular grid and interpolated bilinearly.  Grids take the FFT
+route (a circulant embedding) wherever the embedding holds, with the dense
+Cholesky factor as the fallback on grids of at most 2,500 nodes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import NumericError
 
 SPEED_OF_LIGHT = 299792458.0
 
-# Grids at or below this node count use exact dense covariance factorization;
-# larger grids use FFT synthesis on a circulant embedding.
+# FFT wherever the embedding holds, dense Cholesky as the fallback on grids of
+# at most this many nodes; larger grids whose embedding fails raise
+# EmbeddingError.
 _DENSE_NODE_LIMIT = 2500
 
 
@@ -227,31 +230,33 @@ def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
 
 
 # A dense factor at the node limit is 50 MB, so only two grids are kept.
-# Failures (EmbeddingError) are not cached.
+# An EmbeddingError is not cached; a grid that falls back caches its dense
+# route, so its embedding is tried once.
 @functools.lru_cache(maxsize=2)
-def _synthesis_factor(dense, nx, ny, spacing, sigma, d_c):
-    """Read-only per-grid factor: the Cholesky factor of the grid covariance
-    (dense) or the circulant-embedding amplitudes (FFT).  It depends only on
-    the grid and the covariance, so every field on that grid shares it."""
-    build = _dense_factor if dense else _fft_amplitudes
-    factor = build(nx, ny, spacing, sigma, d_c)
+def _synthesis_factor(nx, ny, spacing, sigma, d_c):
+    """Read-only per-grid route and factor, (dense, factor): the circulant-
+    embedding amplitudes (FFT) where the embedding holds, else the Cholesky
+    factor of the grid covariance (dense).  It depends only on the grid and
+    the covariance, so every field on that grid shares it."""
+    try:
+        dense, factor = False, _fft_amplitudes(nx, ny, spacing, sigma, d_c)
+    except EmbeddingError:
+        if nx * ny > _DENSE_NODE_LIMIT:
+            raise
+        dense, factor = True, _dense_factor(nx, ny, spacing, sigma, d_c)
     factor.flags.writeable = False
-    return factor
+    return dense, factor
 
 
-def _exponential_cov_dense(nx, ny, spacing, sigma, d_c, rng):
-    chol = _synthesis_factor(True, nx, ny, spacing, sigma, d_c)
-    z = chol @ rng.standard_normal(nx * ny)
-    return z.reshape(ny, nx)
-
-
-def _exponential_cov_fft(nx, ny, spacing, sigma, d_c, rng):
-    """Stationary Gaussian field via circulant embedding and FFT synthesis."""
-    amp = _synthesis_factor(False, nx, ny, spacing, sigma, d_c)
-    my, mx = amp.shape
-    xi = np.empty((my, mx), dtype=complex)  # amp * (re + 1j * im), filled in place
-    np.multiply(amp, rng.standard_normal((my, mx)), out=xi.real)
-    np.multiply(amp, rng.standard_normal((my, mx)), out=xi.imag)
+def _exponential_cov(nx, ny, spacing, sigma, d_c, rng):
+    """One field on the grid, drawn by the route its cached factor takes."""
+    dense, factor = _synthesis_factor(nx, ny, spacing, sigma, d_c)
+    if dense:
+        return (factor @ rng.standard_normal(nx * ny)).reshape(ny, nx)
+    my, mx = factor.shape
+    xi = np.empty((my, mx), dtype=complex)  # factor * (re + 1j * im), filled in place
+    np.multiply(factor, rng.standard_normal((my, mx)), out=xi.real)
+    np.multiply(factor, rng.standard_normal((my, mx)), out=xi.imag)
     return _fft2_rows(xi, ny).real[:, :nx].copy()  # a view would keep the padded array alive
 
 
@@ -270,10 +275,7 @@ def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> Shad
         values = np.zeros((ny, nx))
     else:
         rng = np.random.default_rng(seed)
-        if nx * ny <= _DENSE_NODE_LIMIT:
-            values = _exponential_cov_dense(nx, ny, spacing, sigma, params.d_c_m, rng)
-        else:
-            values = _exponential_cov_fft(nx, ny, spacing, sigma, params.d_c_m, rng)
+        values = _exponential_cov(nx, ny, spacing, sigma, params.d_c_m, rng)
     return ShadowingField(
         origin_x=xmin,
         origin_y=ymin,

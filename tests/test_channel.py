@@ -13,8 +13,7 @@ from irlv.channel import (
     ShadowingField,
     _circulant_eigenvalues,
     _dense_factor,
-    _exponential_cov_dense,
-    _exponential_cov_fft,
+    _exponential_cov,
     _fft2_rows,
     _next_fast_len,
     _real_fft2,
@@ -124,36 +123,34 @@ class TestShadowingStatistics:
     d_c = 10.0
     spacing = 2.0
     n = 16
+    # 16x16 nodes at 1 m with d_c = 30 m: the embedding fails, so the grid
+    # falls back to the dense route; at 2 m with d_c = 10 m it holds
+    dense_spacing, dense_d_c = 1.0, 30.0
 
-    def _check_cov(self, realizations):
+    def _check_cov(self, realizations, spacing, d_c):
         # rtol is looser at two decorrelation lengths: the target there is
         # sigma^2/e^2 and the estimator noise of this sample size is a
         # visible fraction of it.
         for step, rtol in ((0, 0.10), (5, 0.10), (10, 0.25)):
-            target = self.sigma**2 * math.exp(-step * self.spacing / self.d_c)
+            target = self.sigma**2 * math.exp(-step * spacing / d_c)
             for axis in (0, 1):
                 got = _empirical_cov(realizations, step, axis)
                 assert abs(got - target) <= rtol * target, (step, axis, got, target)
 
-    def test_dense_route_covariance(self):
+    def _realizations(self, spacing, d_c, dense):
+        assert _synthesis_factor(self.n, self.n, spacing, self.sigma, d_c)[0] == dense
         rng = np.random.default_rng(42)
-        reals = np.stack(
-            [
-                _exponential_cov_dense(self.n, self.n, self.spacing, self.sigma, self.d_c, rng)
-                for _ in range(1200)
-            ]
+        return np.stack(
+            [_exponential_cov(self.n, self.n, spacing, self.sigma, d_c, rng) for _ in range(1200)]
         )
-        self._check_cov(reals)
+
+    def test_dense_route_covariance(self):
+        reals = self._realizations(self.dense_spacing, self.dense_d_c, dense=True)
+        self._check_cov(reals, self.dense_spacing, self.dense_d_c)
 
     def test_fft_route_covariance(self):
-        rng = np.random.default_rng(42)
-        reals = np.stack(
-            [
-                _exponential_cov_fft(self.n, self.n, self.spacing, self.sigma, self.d_c, rng)
-                for _ in range(1200)
-            ]
-        )
-        self._check_cov(reals)
+        reals = self._realizations(self.spacing, self.d_c, dense=False)
+        self._check_cov(reals, self.spacing, self.d_c)
 
     @pytest.mark.parametrize("d_c", [1000.0, 5000.0])
     def test_fft_route_rejects_indefinite_embedding(self, d_c):
@@ -161,12 +158,12 @@ class TestShadowingStatistics:
         eigenvalue mass of 5.9e-5 (d_c = 1000 m) and 2.3e-2 (d_c = 5000 m)
         of the positive mass, above the 1e-6 that may be clipped."""
         with pytest.raises(EmbeddingError, match="1728x1728: negative eigenvalue mass"):
-            _exponential_cov_fft(106, 106, 5.0, 8.0, d_c, np.random.default_rng(0))
+            _exponential_cov(106, 106, 5.0, 8.0, d_c, np.random.default_rng(0))
 
     def test_fft_route_is_zero_mean(self):
         rng = np.random.default_rng(1)
         reals = np.stack(
-            [_exponential_cov_fft(self.n, self.n, self.spacing, self.sigma, self.d_c, rng) for _ in range(400)]
+            [_exponential_cov(self.n, self.n, self.spacing, self.sigma, self.d_c, rng) for _ in range(400)]
         )
         assert abs(reals.mean()) < 0.5
 
@@ -197,7 +194,8 @@ class TestGenerateShadowingField:
         assert not np.array_equal(a.values, c.values)
 
     def test_large_grid_variance(self):
-        """The FFT route kicks in above the dense node limit; its marginal
+        """The 106x106 street grid (above the dense node limit) takes the FFT
+        route, as every grid whose embedding holds does; its marginal
         variance must still be sigma_s^2."""
         s = StreetScenario.default()
         vals = np.stack(
@@ -264,46 +262,68 @@ def empty_factor_cache():
     _synthesis_factor.cache_clear()
 
 
-# (scenario, params): the circular map on a 5 m grid is 17x17 nodes (dense
-# route); the street map on a 5 m grid is 106x106 (FFT route).
+# (scenario, params): the circular map on a 5 m grid is 17x17 nodes, whose
+# embedding fails with d_c = 1000 m (dense route); the street map on a 5 m
+# grid is 106x106 (FFT route).
 ROUTES = {
-    "dense": (CircularScenario.default(), PARAMS),
+    "dense": (CircularScenario.default(), ChannelParams(d_c_m=1000.0)),
     "fft": (StreetScenario.default(), PARAMS),
 }
+
+# (nx, ny, spacing, sigma, d_c) by route (dense or not): 7x7 nodes at 15 m
+# with d_c = 1000 m falls back; 16x16 at 2 m with d_c = 10 m embeds
+FACTOR_GRIDS = {True: (7, 7, 15.0, 8.0, 1000.0), False: (16, 16, 2.0, 8.0, 10.0)}
+
+
+def _counting(monkeypatch, target, original):
+    """Replace target by a wrapper of original; returns its list of calls."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(target, wrapper)
+    return calls
 
 
 @pytest.mark.usefixtures("empty_factor_cache")
 class TestSynthesisFactorCache:
     def test_dense_factor_built_once_per_grid(self, monkeypatch):
-        calls = []
-        original = np.linalg.cholesky
-
-        def cholesky(a):
-            calls.append(a.shape)
-            return original(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        s = CircularScenario.default()
-        generate_shadowing_field(s, PARAMS, seed=1)
-        generate_shadowing_field(s, PARAMS, seed=2)
+        calls = _counting(monkeypatch, "numpy.linalg.cholesky", np.linalg.cholesky)
+        scenario, params = ROUTES["dense"]
+        generate_shadowing_field(scenario, params, seed=1)
+        generate_shadowing_field(scenario, params, seed=2)
         assert len(calls) == 1
         assert _synthesis_factor.cache_info().hits == 1
 
+    def test_failed_embedding_is_tried_once_per_fallback_grid(self, monkeypatch):
+        """A fallback grid caches its route: two fields run the four
+        eigenvalue transforms of one failed embedding (the padding and three
+        doublings), not eight.  Above the node limit nothing is cached, so
+        every call tries the embedding again and raises."""
+        calls = _counting(monkeypatch, "irlv.channel._circulant_eigenvalues",
+                          _circulant_eigenvalues)
+        scenario, params = ROUTES["dense"]
+        generate_shadowing_field(scenario, params, seed=1)
+        generate_shadowing_field(scenario, params, seed=2)
+        assert len(calls) == 4
+        for _ in range(2):
+            with pytest.raises(EmbeddingError):
+                _exponential_cov(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
+        assert len(calls) == 12
+
     def test_fft_amplitudes_built_once_per_grid(self, monkeypatch):
-        calls = []
-
-        def eigenvalues(*args):
-            calls.append(args)
-            return _circulant_eigenvalues(*args)
-
-        monkeypatch.setattr("irlv.channel._circulant_eigenvalues", eigenvalues)
+        calls = _counting(monkeypatch, "irlv.channel._circulant_eigenvalues",
+                          _circulant_eigenvalues)
         generate_fields(StreetScenario.default(), PARAMS, base_seed=4)  # five fields
         assert len(calls) == 1  # the 216x216 embedding needs no doubling
         assert _synthesis_factor.cache_info().hits == 4
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_factor_is_read_only(self, dense):
-        factor = _synthesis_factor(dense, 16, 16, 2.0, 8.0, 10.0)
+        route, factor = _synthesis_factor(*FACTOR_GRIDS[dense])
+        assert route == dense
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 1.0
 
@@ -320,19 +340,37 @@ class TestSynthesisFactorCache:
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_factor_depends_on_sigma_d_c_and_spacing(self, dense):
-        base = _synthesis_factor(dense, 16, 16, 2.0, 8.0, 10.0)
-        for spacing, sigma, d_c in ((2.0, 4.0, 10.0), (2.0, 8.0, 20.0), (3.0, 8.0, 10.0)):
-            other = _synthesis_factor(dense, 16, 16, spacing, sigma, d_c)
-            assert not np.array_equal(base, other), (spacing, sigma, d_c)
+        nx, ny, spacing, sigma, d_c = FACTOR_GRIDS[dense]
+        base = _synthesis_factor(nx, ny, spacing, sigma, d_c)[1]
+        for changed in ((spacing, sigma / 2, d_c), (spacing, sigma, 2 * d_c), (1.5 * spacing, sigma, d_c)):
+            route, other = _synthesis_factor(nx, ny, *changed)
+            assert route == dense, changed
+            assert not np.array_equal(base, other), changed
 
     def test_failed_embedding_is_not_cached(self):
         for _ in range(2):
             with pytest.raises(EmbeddingError):
-                _exponential_cov_fft(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
+                _exponential_cov(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
         assert _synthesis_factor.cache_info().currsize == 0
 
+    def test_street_grid_at_15_m_peaks_below_1_mib(self):
+        """The 36x36 grid of the field-dense benchmark embeds, so five fields
+        from a cold cache never build an (N, N) covariance (two of 13 MB)."""
+        params = ChannelParams(grid_spacing_m=15.0)
+        # first-call allocations (numpy.fft's import among them) outside the peak
+        generate_shadowing_field(CircularScenario.default(), params, seed=0)
+        _synthesis_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            fields = generate_fields(StreetScenario.default(), params, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields[0].values.shape == (36, 36)
+        assert peak < 1024 * 1024
+
     def test_holds_at_most_two_grids(self):
-        grids = [(True, 8, 8, 2.0, 8.0, 10.0), (False, 16, 16, 2.0, 8.0, 10.0), (True, 10, 6, 2.0, 8.0, 10.0)]
+        grids = [FACTOR_GRIDS[True], FACTOR_GRIDS[False], (10, 6, 2.0, 8.0, 10.0)]
         for args in grids * 2:
             _synthesis_factor(*args)
             assert _synthesis_factor.cache_info().currsize <= 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import irlv
-from irlv.channel import ChannelParams, generate_fields
+from irlv.channel import ChannelParams, _synthesis_factor, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import SECTIONS, load_config
 from irlv.errors import NumericError
@@ -294,9 +294,12 @@ class TestField:
                         reason="needs at least two cores and sched_setaffinity")
     def test_fields_do_not_depend_on_the_core_count(self, tmp_path):
         """A process pinned to one core writes the same dense-route fields as
-        one that may use every core.  The children get no OPENBLAS_NUM_THREADS,
+        one that may use every core (the 17x17 disc grid with d_c = 1000 m,
+        whose embedding fails).  The children get no OPENBLAS_NUM_THREADS,
         so each takes the package's default, not this process's setting."""
-        cfg = write_cfg(tmp_path, CIRCULAR.replace("sigma_s_db = 0.0", "sigma_s_db = 8.0"))
+        cfg = write_cfg(tmp_path, CIRCULAR.replace("sigma_s_db = 0.0",
+                                                   "sigma_s_db = 8.0\nd_c_m = 1000.0"))
+        assert _synthesis_factor(17, 17, 5.0, 8.0, 1000.0)[0]  # the dense route
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = str(Path(irlv.__file__).resolve().parents[1])
         outputs = []

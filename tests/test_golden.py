@@ -151,15 +151,19 @@ def street_two_stage_run():
 
 
 def dense_field():
-    """A 6x6 dense-route field, bit for bit: any change to the factor's
-    arithmetic or to the draw order shows here."""
-    params = ChannelParams(d_c_m=80.0, grid_spacing_m=16.0)
-    return generate_shadowing_field(CircularScenario.default(), params, seed=11).values.tolist()
+    """A 7x7 dense-route field (15 m apart with d_c = 1000 m, where the
+    embedding fails), bit for bit: any change to the factor's arithmetic,
+    to the draw order or to the routing shows here."""
+    params = ChannelParams(d_c_m=1000.0, grid_spacing_m=15.0)
+    f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
+    assert f.values.shape == (7, 7)
+    return f.values.tolist()
 
 
 def fft_field_corners():
-    """A 51x51 grid (2601 nodes, just over the dense limit) takes the FFT
-    route; its two 3x3 corner blocks, bit for bit."""
+    """A 51x51 grid (2601 nodes, above the dense limit) whose embedding
+    holds, so it takes the FFT route; its two 3x3 corner blocks, bit for
+    bit."""
     f = generate_shadowing_field(CircularScenario.default(), ChannelParams(grid_spacing_m=1.6),
                                  seed=11)
     assert f.values.shape == (51, 51)

@@ -1,11 +1,14 @@
-"""Property tests: ROC curve invariants and the alpha scan against brute force."""
+"""Property tests: ROC curve invariants, the alpha scan against brute force,
+and the covariance of each shadowing synthesis route."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irlv.channel import EmbeddingError, _fft_amplitudes, _synthesis_factor
 from irlv.evaluation import RocCurve
 from irlv.neyman_pearson import SectorGeometry, alpha
 from irlv.scenario import CircularScenario, Rectangle
@@ -69,3 +72,42 @@ def test_alpha_matches_angle_scan(corner, size, resolution, radii):
     # equal up to rounding for points within an ulp of the ROI boundary
     np.testing.assert_allclose(alpha(r, geometry), _alpha_scan(r, geometry),
                                rtol=0, atol=2 * TWO_PI / geometry.n_angles)
+
+
+SIGMA = 8.0
+
+
+@st.composite
+def shadowing_grids(draw):
+    """(nx, ny, spacing, d_c): sides of 2-20 nodes, 1-15 m apart, and a
+    d_c from the finest the config allows (5 x spacing) to 1000 m."""
+    nx, ny = draw(st.integers(2, 20)), draw(st.integers(2, 20))
+    spacing = draw(st.floats(1.0, 15.0))
+    return nx, ny, spacing, draw(st.floats(5.0 * spacing, 1000.0))
+
+
+@DETERMINISTIC
+@given(shadowing_grids())
+def test_every_route_has_the_target_covariance(grid):
+    """A grid takes the FFT route only with an embedding whose torus
+    covariance, the inverse FFT of amp^2 * mx * my, is sigma^2 exp(-lag/d_c)
+    on every in-grid lag; clipping at most 1e-6 of the eigenvalue mass
+    moves it by at most about 1e-6 sigma^2.  Any other grid takes the dense
+    route, whose factor times its transpose is the grid covariance."""
+    nx, ny, spacing, d_c = grid
+    dense, factor = _synthesis_factor(nx, ny, spacing, SIGMA, d_c)
+    lx, ly = np.arange(nx) * spacing, np.arange(ny) * spacing
+    if dense:
+        with pytest.raises(EmbeddingError):
+            _fft_amplitudes(nx, ny, spacing, SIGMA, d_c)
+        px, py = np.tile(lx, ny), np.repeat(ly, nx)  # node (j, i) is row j*nx + i
+        dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
+        target = SIGMA**2 * (np.exp(-dist / d_c) + 1e-10 * np.eye(nx * ny))
+        np.testing.assert_allclose(factor @ factor.T, target, rtol=0, atol=1e-9 * SIGMA**2)
+        return
+    my, mx = factor.shape
+    torus = np.fft.ifft2(factor**2 * (mx * my)).real
+    target = SIGMA**2 * np.exp(-np.hypot(ly[:, None], lx[None, :]) / d_c)
+    # lags (dy, dx) and (dy, -dx); (-dy, -dx) and (-dy, dx) are their mirrors
+    for lags in (torus[:ny, :nx], torus[:ny, (-np.arange(nx)) % mx]):
+        np.testing.assert_allclose(lags, target, rtol=0, atol=1.1e-6 * SIGMA**2)
