@@ -86,15 +86,9 @@ def _axis_interval(c: np.ndarray, lo_bound: float, hi_bound: float):
     return lo, hi
 
 
-def _alpha_of_sorted(r_sorted: np.ndarray, geometry: SectorGeometry) -> np.ndarray:
-    """Angular scan over n_angles bin midpoints, evaluated for many radii.
-
-    For each scan angle phi the set of radii whose point (r cos phi,
-    r sin phi) falls in the ROI is an interval, so counting scan hits per
-    radius reduces to interval bookkeeping over the sorted radii.  This
-    equals testing every (radius, angle) pair, up to floating-point
-    rounding for points within an ulp of the ROI boundary.
-    """
+def _angle_scan(geometry: SectorGeometry):
+    """Angular scan: for each of the n_angles bin midpoints phi that meets the
+    ROI, the interval (lo, hi) of radii r with (r cos phi, r sin phi) in it."""
     k = geometry.n_angles
     phi = (np.arange(k) + 0.5) * (TWO_PI / k)
     roi = geometry.scenario.roi
@@ -103,12 +97,18 @@ def _alpha_of_sorted(r_sorted: np.ndarray, geometry: SectorGeometry) -> np.ndarr
     lo = np.maximum(np.maximum(lo_x, lo_y), 0.0)
     hi = np.minimum(hi_x, hi_y)
     ok = lo <= hi
-    first = np.searchsorted(r_sorted, lo[ok], side="left")
-    last = np.searchsorted(r_sorted, hi[ok], side="right")
+    return lo[ok], hi[ok]
+
+
+def _alpha_of_sorted(r_sorted: np.ndarray, scan, geometry: SectorGeometry) -> np.ndarray:
+    """alpha of sorted radii by counting _angle_scan's intervals that hold each;
+    equal to testing every (radius, angle) pair, up to floating-point rounding
+    for points within an ulp of the ROI boundary."""
+    lo, hi = scan
     hits = np.zeros(len(r_sorted) + 1, dtype=np.int64)
-    np.add.at(hits, first, 1)
-    np.add.at(hits, last, -1)
-    return np.cumsum(hits[:-1]) * (TWO_PI / k)
+    np.add.at(hits, np.searchsorted(r_sorted, lo, side="left"), 1)
+    np.add.at(hits, np.searchsorted(r_sorted, hi, side="right"), -1)
+    return np.cumsum(hits, out=hits)[:-1] * (TWO_PI / geometry.n_angles)
 
 
 def alpha(r, geometry: SectorGeometry):
@@ -119,7 +119,7 @@ def alpha(r, geometry: SectorGeometry):
     # equal radii get equal counts, so the order among ties does not matter
     order = np.argsort(arr)
     out = np.empty_like(arr)
-    out[order] = _alpha_of_sorted(arr[order], geometry)
+    out[order] = _alpha_of_sorted(arr[order], _angle_scan(geometry), geometry)
     return float(out[0]) if np.asarray(r).ndim == 0 else out
 
 
@@ -154,9 +154,10 @@ def _llr_of_alpha(al: np.ndarray, geometry: SectorGeometry) -> np.ndarray:
     out = np.full(al.shape, -LLR_SENTINEL_BITS)
     out[al >= TWO_PI] = LLR_SENTINEL_BITS
     interior = (al > 0.0) & (al < TWO_PI)
-    out[interior] = np.log2(
-        geometry.area_a1 * al[interior] / (geometry.area_a0 * (TWO_PI - al[interior]))
-    )
+    a = al[interior]
+    ratio = geometry.area_a1 * a
+    ratio /= np.multiply(geometry.area_a0, np.subtract(TWO_PI, a, out=a), out=a)
+    out[interior] = np.log2(ratio, out=ratio)
     return out
 
 
@@ -170,23 +171,30 @@ def np_roc(geometry: SectorGeometry, n_samples: int, thetas,
     both endpoints.  The noiseless LOS attenuation is a monotone function of
     the distance, so the test scores the distance itself and no channel
     constant enters; a position nearer than c / (4*pi*f0), whose
-    attenuation llr refuses, gets its LLR too.
+    attenuation llr refuses, gets its LLR too.  The angle scan is built once
+    per call, and a region is scored in place in about 41 bytes per sample,
+    beside the scan's 3.9 MiB at 1e-4 rad.
     """
     if n_samples < MIN_NP_ROC_SAMPLES:
         raise ValueError(f"need at least {MIN_NP_ROC_SAMPLES} samples per region")
     thetas = np.asarray(thetas, dtype=float)
     if np.any(thetas <= 0):
         raise ValueError("thetas must be positive")
-    scenario = geometry.scenario
-    llr_by_label = []
-    for region in (REGION_INSIDE, REGION_OUTSIDE):
-        xy = scenario.sample_region(region, rng, n_samples)
-        llr_by_label.append(np.sort(_llr_of_alpha(alpha(np.hypot(*xy.T), geometry), geometry)))
-    llr0, llr1 = llr_by_label
     grid = np.concatenate([[0.0], thetas, [np.inf]])
     with np.errstate(divide="ignore"):
         log_grid = np.log2(grid)
+    scan = _angle_scan(geometry)
+
+    def below(region):
+        # count of the region's LLRs below each log2(theta); sorted LLRs do
+        # not depend on sample order, so they are scored in radius order
+        r = np.hypot(*geometry.scenario.sample_region(region, rng, n_samples).T)
+        r.sort()
+        bits = _llr_of_alpha(_alpha_of_sorted(r, scan, geometry), geometry)
+        bits.sort()
+        return np.searchsorted(bits, log_grid, side="left")
+
     # label 1 (outside) iff llr < log2(theta)
-    p_fa = np.searchsorted(llr0, log_grid, side="left") / n_samples
-    p_md = (n_samples - np.searchsorted(llr1, log_grid, side="left")) / n_samples
+    p_fa = below(REGION_INSIDE) / n_samples
+    p_md = (n_samples - below(REGION_OUTSIDE)) / n_samples
     return RocCurve.from_points(p_fa, p_md, thresholds=grid)

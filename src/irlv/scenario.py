@@ -104,11 +104,16 @@ def _check_positive(**lengths) -> None:
             raise ValueError(f"{key}: must be positive")
 
 
+_SAMPLE_BLOCK = 8192  # candidates per acceptance test in _rejection_sample
+
+
 def _rejection_sample(bbox, accept, rng, size):
     """Uniform samples over an acceptance region inside a bounding box.
 
     accept(x, y) must return a boolean mask; the acceptance probability has
-    to be bounded away from zero for termination.
+    to be bounded away from zero for termination.  A round draws all its x,
+    then draws and tests y in blocks; it draws every block, even once the
+    quota is met, so blocking leaves the draws and the samples unchanged.
     """
     xmin, ymin, xmax, ymax = bbox
     out = np.empty((size, 2))
@@ -116,12 +121,14 @@ def _rejection_sample(bbox, accept, rng, size):
     while filled < size:
         n = max(2 * (size - filled), 64)
         x = rng.uniform(xmin, xmax, n)
-        y = rng.uniform(ymin, ymax, n)
-        ok = accept(x, y)
-        k = min(int(ok.sum()), size - filled)
-        out[filled : filled + k, 0] = x[ok][:k]
-        out[filled : filled + k, 1] = y[ok][:k]
-        filled += k
+        for start in range(0, n, _SAMPLE_BLOCK):
+            xb = x[start : start + _SAMPLE_BLOCK]
+            y = rng.uniform(ymin, ymax, len(xb))
+            ok = accept(xb, y)
+            k = min(int(ok.sum()), size - filled)
+            out[filled : filled + k, 0] = xb[ok][:k]
+            out[filled : filled + k, 1] = y[ok][:k]
+            filled += k
     return out
 
 

@@ -1,17 +1,18 @@
 """NP test suite: sector angle, densities, LLR, decisions, Monte-Carlo ROC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from irlv import neyman_pearson
 from irlv.channel import SPEED_OF_LIGHT, ChannelParams, path_loss_los_db
-from irlv.evaluation import auc
+from irlv.evaluation import RocCurve, auc
 from irlv.neyman_pearson import (
     LLR_SENTINEL_BITS,
     SectorGeometry,
     _axis_interval,
+    _llr_of_alpha,
     alpha,
     llr,
     np_roc,
@@ -86,6 +87,33 @@ def _alpha_reference(r, geometry):
     out = np.empty_like(arr)
     out[order] = np.cumsum(hits[:-1]) * (TWO_PI / k)
     return out
+
+
+def _llr_reference(al, geometry):
+    """_llr_of_alpha's value with the ratio written as one expression."""
+    out = np.full(al.shape, -LLR_SENTINEL_BITS)
+    out[al >= TWO_PI] = LLR_SENTINEL_BITS
+    interior = (al > 0.0) & (al < TWO_PI)
+    out[interior] = np.log2(
+        geometry.area_a1 * al[interior] / (geometry.area_a0 * (TWO_PI - al[interior]))
+    )
+    return out
+
+
+def _np_roc_reference(geometry, n_samples, thetas, rng):
+    """np_roc with each region's samples scored in draw order through alpha's
+    stable-argsort reference, then sorted and counted per threshold."""
+    sorted_llr = []
+    for region in (REGION_INSIDE, REGION_OUTSIDE):
+        xy = geometry.scenario.sample_region(region, rng, n_samples)
+        sorted_llr.append(np.sort(_llr_reference(_alpha_reference(np.hypot(*xy.T), geometry),
+                                                 geometry)))
+    grid = np.concatenate([[0.0], thetas, [np.inf]])
+    with np.errstate(divide="ignore"):
+        log_grid = np.log2(grid)
+    p_fa = np.searchsorted(sorted_llr[0], log_grid, side="left") / n_samples
+    p_md = (n_samples - np.searchsorted(sorted_llr[1], log_grid, side="left")) / n_samples
+    return RocCurve.from_points(p_fa, p_md, thresholds=grid)
 
 
 class TestAlpha:
@@ -190,6 +218,11 @@ class TestPdfR:
 
 
 class TestLlr:
+    def test_in_place_ratio_equals_one_expression(self):
+        al = np.random.default_rng(6).uniform(0.0, TWO_PI, 10_000)
+        al[:3] = (0.0, TWO_PI, 1e-300)
+        np.testing.assert_array_equal(_llr_of_alpha(al.copy(), GEO), _llr_reference(al, GEO))
+
     def test_certain_outside_sentinel(self):
         a_db = path_loss_los_db(2.0, PARAMS)
         assert llr(a_db, GEO, PARAMS) == -LLR_SENTINEL_BITS
@@ -293,14 +326,32 @@ class TestNpRoc:
 
     @pytest.mark.parametrize("resolution", [1e-3, 1e-4])
     @pytest.mark.parametrize("seed", [2, 7])
-    def test_equals_stable_sort_reference(self, monkeypatch, seed, resolution):
+    def test_equals_stable_sort_reference(self, seed, resolution):
+        """np_roc scores sorted radii in place; the reference scores each
+        sample in draw order, sorts the LLRs and counts them per threshold.
+        100,000 draws span several of the outside sampler's blocks."""
         geo = SectorGeometry(CircularScenario.default(), resolution)
-        roc = np_roc(geo, 10_000, self.thetas, np.random.default_rng(seed))
-        monkeypatch.setattr(neyman_pearson, "alpha", _alpha_reference)
-        ref = np_roc(geo, 10_000, self.thetas, np.random.default_rng(seed))
-        np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
-        np.testing.assert_array_equal(roc.p_md, ref.p_md)
-        np.testing.assert_array_equal(roc.thresholds, ref.thresholds)
+        for n in (10_000, 100_000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            roc = np_roc(geo, n, self.thetas, rng)
+            ref = _np_roc_reference(geo, n, self.thetas, ref_rng)
+            np.testing.assert_array_equal(roc.p_fa, ref.p_fa)
+            np.testing.assert_array_equal(roc.p_md, ref.p_md)
+            np.testing.assert_array_equal(roc.thresholds, ref.thresholds)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_peak_memory_at_the_paper_sample_count(self):
+        """At 100,000 draws per region the oracle scores each region in place:
+        its temporaries take at most 6 MiB, the 1e-4 rad angle scan included."""
+        thetas = np.exp2(np.linspace(-16.0, 4.0, 200))
+        np_roc(GEO, 10_000, thetas, np.random.default_rng(0))  # first-call allocations outside the peak
+        tracemalloc.start()
+        try:
+            np_roc(GEO, 100_000, thetas, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 1024 * 1024
 
     def test_reproducible(self):
         a = np_roc(GEO, 10_000, self.thetas, np.random.default_rng(3))

@@ -255,3 +255,43 @@ class TestCircularScenario:
         rng = np.random.default_rng(42)
         xy = c.sample_region(REGION_INSIDE, rng, 20000)
         np.testing.assert_allclose(xy.mean(axis=0), (16.5, 0.0), atol=0.3)
+
+
+def _sample_region_reference(scenario, region, rng, size):
+    """sample_region with the ROI draw written out and every round's
+    rejection candidates drawn and tested in one call each."""
+    if region == REGION_INSIDE:
+        roi = scenario.roi
+        xy = rng.uniform(size=(size, 2))
+        xy[:, 0] = roi.xmin + xy[:, 0] * roi.width
+        xy[:, 1] = roi.ymin + xy[:, 1] * roi.height
+        return xy
+    xmin, ymin, xmax, ymax = scenario.bounds
+    out = np.empty((size, 2))
+    filled = 0
+    while filled < size:
+        n = max(2 * (size - filled), 64)
+        x = rng.uniform(xmin, xmax, n)
+        y = rng.uniform(ymin, ymax, n)
+        ok = scenario.contains(x, y) & ~scenario.roi.contains(x, y)
+        k = min(int(ok.sum()), size - filled)
+        out[filled : filled + k, 0] = x[ok][:k]
+        out[filled : filled + k, 1] = y[ok][:k]
+        filled += k
+    return out
+
+
+class TestBlockSampler:
+    """Testing candidates in blocks changes neither the samples nor the draws."""
+
+    # candidates in the first round, max(2 * size, 64): 64, 8,190, 8,192 (one
+    # full block), 8,194 (a block and two) and 100,000 (twelve blocks and a part)
+    @pytest.mark.parametrize("size", [1, 4_095, 4_096, 4_097, 50_000])
+    @pytest.mark.parametrize("region", [REGION_INSIDE, REGION_OUTSIDE])
+    @pytest.mark.parametrize("scenario", [StreetScenario.default(), CircularScenario.default()],
+                             ids=["street", "circular"])
+    def test_equals_one_shot_rejection(self, scenario, region, size):
+        rng, ref_rng = np.random.default_rng(size), np.random.default_rng(size)
+        xy = scenario.sample_region(region, rng, size)
+        np.testing.assert_array_equal(xy, _sample_region_reference(scenario, region, ref_rng, size))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
