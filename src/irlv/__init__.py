@@ -7,14 +7,11 @@ that test is tractable, and searches for good base-station placements.
 
 import os
 
-# irlv's parallelism is --jobs, so BLAS gets one thread per process.  A
-# second OpenBLAS thread saved no wall time, spun on the other core after
-# large products, and made the dense Cholesky factor, and so every
-# dense-route field, depend on the core count.  Fields take FFT wherever the
-# embedding holds, dense Cholesky as the fallback on grids of at most 2,500
-# nodes.  OpenBLAS reads the variable when numpy first loads, which for the
-# CLI and its --jobs workers (they inherit the environment) is after this
-# line.  A caller's value is kept.
+# irlv's parallelism is --jobs, so BLAS gets one thread per process: a
+# second OpenBLAS thread saved the MLP's products no wall time and spun on
+# the other core after them.  OpenBLAS reads the variable when numpy first
+# loads, which for the CLI and its --jobs workers (they inherit the
+# environment) is after this line.  A caller's value is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

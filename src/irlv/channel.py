@@ -11,9 +11,9 @@ shadowing with exponential spatial covariance
     cov(a_s at p, a_s at q) = sigma_s^2 * exp(-|p - q| / d_c).
 
 Shadowing is realized as one spatially correlated map per base station,
-sampled on a regular grid and interpolated bilinearly.  Grids take the FFT
-route (a circulant embedding) wherever the embedding holds, with the dense
-Cholesky factor as the fallback on grids of at most 2,500 nodes.
+sampled on a regular grid and interpolated bilinearly.  A grid's field is an
+FFT draw on a circulant embedding: the plain one where it holds, else the
+cut-off embedding (Gneiting et al., JCGS 2006; Stein, JCGS 2002).
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from .errors import NumericError
 
 SPEED_OF_LIGHT = 299792458.0
 
-# FFT wherever the embedding holds, dense Cholesky as the fallback on grids of
-# at most this many nodes; larger grids whose embedding fails raise
-# EmbeddingError.
-_DENSE_NODE_LIMIT = 2500
-
 
 class EmbeddingError(NumericError):
-    """Circulant embedding still indefinite after the last padding (d_c too large)."""
+    """Neither circulant embedding of a grid holds (no validated grid is known to)."""
 
 
 @dataclass(frozen=True)
@@ -139,24 +134,6 @@ def _grid_axis(lo: float, hi: float, spacing: float) -> int:
     return int(math.ceil((hi - lo) / spacing - 1e-9)) + 1
 
 
-def _dense_factor(nx, ny, spacing, sigma, d_c):
-    """Lower Cholesky factor of the covariance of the nx*ny grid nodes (x fastest)."""
-    xs = np.arange(nx) * spacing
-    ys = np.arange(ny) * spacing
-    dx2 = (xs[:, None] - xs[None, :]) ** 2
-    dy2 = (ys[:, None] - ys[None, :]) ** 2
-    # node (j, i) is row j*nx + i, so the squared distance between nodes
-    # (j, i) and (l, k) is dx2[i, k] + dy2[j, l]: one (N, N) array, and the
-    # covariance is built in it
-    cov = np.add(dx2[None, :, None, :], dy2[:, None, :, None]).reshape(nx * ny, nx * ny)
-    np.sqrt(cov, out=cov)
-    np.divide(cov, -d_c, out=cov)  # -dist / d_c: IEEE division rounds sign-symmetrically
-    np.exp(cov, out=cov)
-    np.multiply(cov, sigma**2, out=cov)
-    cov[np.diag_indices_from(cov)] += 1e-10 * sigma**2
-    return np.linalg.cholesky(cov)
-
-
 def _next_fast_len(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c * 7^d * 11^e >= n, the lengths numpy's
     pocketfft transforms fastest (the value scipy.fft.next_fast_len gives)."""
@@ -194,70 +171,77 @@ def _real_fft2(cov: np.ndarray) -> np.ndarray:
     return half[rows, np.minimum(k, mirror)]
 
 
-def _circulant_eigenvalues(mx, my, spacing, sigma, d_c):
+def _torus_lags(mx, my, spacing):
+    """Distance of each node of the mx-by-my torus from node (0, 0), shape (my, mx)."""
     ux = np.minimum(np.arange(mx), mx - np.arange(mx)) * spacing
     uy = np.minimum(np.arange(my), my - np.arange(my)) * spacing
-    dist = np.sqrt(uy[:, None] ** 2 + ux[None, :] ** 2)
-    cov = sigma**2 * np.exp(-dist / d_c)
-    return _real_fft2(cov)
+    return np.sqrt(uy[:, None] ** 2 + ux[None, :] ** 2)
 
 
-def _fft_amplitudes(nx, ny, spacing, sigma, d_c):
-    """Amplitudes sqrt(lam / (mx*my)) of the circulant embedding, shape (my, mx).
-
-    The embedded torus covariance is exact for all in-grid lags; residual
-    negative eigenvalues of the embedding are clipped after padding (their
-    mass may be at most 1e-6 of the positive mass after at most three
-    doublings, else EmbeddingError).
-    """
-    mx = _next_fast_len(2 * nx)
-    my = _next_fast_len(2 * ny)
-    for doubling in range(4):
-        lam = _circulant_eigenvalues(mx, my, spacing, sigma, d_c)
-        neg, pos = -lam[lam < 0].sum(), lam[lam > 0].sum()
-        if neg <= 1e-6 * pos:
-            break
-        if doubling == 3:
-            raise EmbeddingError(
-                f"circulant embedding of the {nx}x{ny} grid stays indefinite at "
-                f"{mx}x{my}: negative eigenvalue mass is {neg / pos:.2g} of the positive "
-                f"mass (limit 1e-06); d_c = {d_c:g} m is too large"
-            )
-        mx = _next_fast_len(2 * mx)
-        my = _next_fast_len(2 * my)
-    lam = np.clip(lam, 0.0, None)
-    return np.sqrt(lam / (mx * my))
+def _cutoff_cov(nx, ny, spacing, sigma, d_c):
+    """The cut-off covariance g on a torus wider than its support, and the
+    constant c = sigma^2 e^-a (1 - a/k) with g = phi - c on lags up to the
+    grid's largest, D (a = D/d_c, k = max(3, 1.5 a)).  Beyond D, g is
+    b (R - u)^3 / u up to u = r/D = R = (k + 2)/(k - 1), then 0: this b and
+    R keep g's value and slope continuous at D."""
+    extent = spacing * math.hypot(nx - 1, ny - 1)
+    a = extent / d_c
+    k = max(3.0, 1.5 * a)
+    reach = (k + 2.0) / (k - 1.0)
+    side = math.ceil(2.0 * reach * extent / spacing) + 1
+    dist = _torus_lags(_next_fast_len(max(side, 2 * nx)), _next_fast_len(max(side, 2 * ny)),
+                       spacing)
+    scale = sigma**2 * math.exp(-a)
+    u = dist / extent
+    # expm1 keeps the digits that exp(-r/d_c) - c would cancel for a long d_c
+    inside = scale * (np.expm1((extent - dist) / d_c) + a / k)
+    b = scale * (a / k) / (reach - 1.0) ** 3
+    tail = b * np.maximum(reach - u, 0.0) ** 3 / np.maximum(u, 1.0)
+    return np.where(u <= 1.0, inside, tail), scale * (1.0 - a / k)
 
 
-# A dense factor at the node limit is 50 MB, so only two grids are kept.
-# An EmbeddingError is not cached; a grid that falls back caches its dense
-# route, so its embedding is tried once.
+def _negative_mass(lam):
+    """Mass of the negative eigenvalues over the mass of the positive ones."""
+    return -lam[lam < 0].sum() / lam[lam > 0].sum()
+
+
+# A cut-off torus is at most about 7 grid sides across (4.5 MB of amplitudes
+# for the 106x106 street grid at d_c = 1000 m), so only two grids are kept.
+# An EmbeddingError is not cached.
 @functools.lru_cache(maxsize=2)
 def _synthesis_factor(nx, ny, spacing, sigma, d_c):
-    """Read-only per-grid route and factor, (dense, factor): the circulant-
-    embedding amplitudes (FFT) where the embedding holds, else the Cholesky
-    factor of the grid covariance (dense).  It depends only on the grid and
-    the covariance, so every field on that grid shares it."""
-    try:
-        dense, factor = False, _fft_amplitudes(nx, ny, spacing, sigma, d_c)
-    except EmbeddingError:
-        if nx * ny > _DENSE_NODE_LIMIT:
-            raise
-        dense, factor = True, _dense_factor(nx, ny, spacing, sigma, d_c)
-    factor.flags.writeable = False
-    return dense, factor
+    """Read-only per-grid amplitudes sqrt(lam / (mx*my)), shape (my, mx), and
+    offset variance c: the plain embedding (c = 0) where at most 1e-6 of its
+    eigenvalue mass is negative, else the cut-off one, with what is negative
+    clipped.  Every field on the grid shares them."""
+    mx, my = _next_fast_len(2 * nx), _next_fast_len(2 * ny)
+    lam = _real_fft2(sigma**2 * np.exp(-_torus_lags(mx, my, spacing) / d_c))
+    c = 0.0
+    if _negative_mass(lam) > 1e-6:
+        cov, c = _cutoff_cov(nx, ny, spacing, sigma, d_c)
+        lam = _real_fft2(cov)
+        if _negative_mass(lam) > 1e-6:
+            raise EmbeddingError(
+                f"circulant embedding of the {nx}x{ny} grid is indefinite, plain and cut-off: "
+                f"negative eigenvalue mass is {_negative_mass(lam):.2g} of the positive mass"
+            )
+    amplitudes = np.sqrt(np.clip(lam, 0.0, None) / lam.size)
+    amplitudes.flags.writeable = False
+    return amplitudes, c
 
 
 def _exponential_cov(nx, ny, spacing, sigma, d_c, rng):
-    """One field on the grid, drawn by the route its cached factor takes."""
-    dense, factor = _synthesis_factor(nx, ny, spacing, sigma, d_c)
-    if dense:
-        return (factor @ rng.standard_normal(nx * ny)).reshape(ny, nx)
-    my, mx = factor.shape
-    xi = np.empty((my, mx), dtype=complex)  # factor * (re + 1j * im), filled in place
-    np.multiply(factor, rng.standard_normal((my, mx)), out=xi.real)
-    np.multiply(factor, rng.standard_normal((my, mx)), out=xi.imag)
-    return _fft2_rows(xi, ny).real[:, :nx].copy()  # a view would keep the padded array alive
+    """One field on the grid: the torus draw from real, then imaginary,
+    normals, plus sqrt(c) times one more normal where c > 0."""
+    amplitudes, c = _synthesis_factor(nx, ny, spacing, sigma, d_c)
+    my, mx = amplitudes.shape
+    xi = np.empty((my, mx), dtype=complex)  # amplitudes * (re + 1j * im), filled in place
+    np.multiply(amplitudes, rng.standard_normal((my, mx)), out=xi.real)
+    np.multiply(amplitudes, rng.standard_normal((my, mx)), out=xi.imag)
+    values = _fft2_rows(xi, ny).real[:, :nx].copy()  # a view would keep the padded array alive
+    if c > 0.0:
+        values += math.sqrt(c) * rng.standard_normal()
+    return values
 
 
 def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> ShadowingField:

@@ -11,8 +11,7 @@ from irlv.channel import (
     ChannelParams,
     EmbeddingError,
     ShadowingField,
-    _circulant_eigenvalues,
-    _dense_factor,
+    _cutoff_cov,
     _exponential_cov,
     _fft2_rows,
     _next_fast_len,
@@ -116,16 +115,23 @@ def _empirical_cov(realizations, step, axis):
     return float(np.mean(a * b))
 
 
+def _indefinite(cov):
+    """Eigenvalues of the torus covariance lowered by 1e-3 of the largest, so
+    that every torus keeps a negative mass far above the 1e-6 allowed."""
+    lam = _real_fft2(cov)
+    return lam - 1e-3 * lam.max()
+
+
 class TestShadowingStatistics:
-    """Both synthesis routes must reproduce sigma_s^2 * exp(-L/d_c)."""
+    """Both embeddings must reproduce sigma_s^2 * exp(-L/d_c)."""
 
     sigma = 8.0
     d_c = 10.0
     spacing = 2.0
     n = 16
-    # 16x16 nodes at 1 m with d_c = 30 m: the embedding fails, so the grid
-    # falls back to the dense route; at 2 m with d_c = 10 m it holds
-    dense_spacing, dense_d_c = 1.0, 30.0
+    # 16x16 nodes at 1 m with d_c = 30 m: the plain embedding fails, so the
+    # grid takes the cut-off embedding; at 2 m with d_c = 10 m it holds
+    cutoff_spacing, cutoff_d_c = 1.0, 30.0
 
     def _check_cov(self, realizations, spacing, d_c):
         # rtol is looser at two decorrelation lengths: the target there is
@@ -137,27 +143,38 @@ class TestShadowingStatistics:
                 got = _empirical_cov(realizations, step, axis)
                 assert abs(got - target) <= rtol * target, (step, axis, got, target)
 
-    def _realizations(self, spacing, d_c, dense):
-        assert _synthesis_factor(self.n, self.n, spacing, self.sigma, d_c)[0] == dense
+    def _realizations(self, spacing, d_c, cutoff):
+        assert (_synthesis_factor(self.n, self.n, spacing, self.sigma, d_c)[1] > 0) == cutoff
         rng = np.random.default_rng(42)
         return np.stack(
             [_exponential_cov(self.n, self.n, spacing, self.sigma, d_c, rng) for _ in range(1200)]
         )
 
-    def test_dense_route_covariance(self):
-        reals = self._realizations(self.dense_spacing, self.dense_d_c, dense=True)
-        self._check_cov(reals, self.dense_spacing, self.dense_d_c)
+    def test_cutoff_route_covariance(self):
+        reals = self._realizations(self.cutoff_spacing, self.cutoff_d_c, cutoff=True)
+        self._check_cov(reals, self.cutoff_spacing, self.cutoff_d_c)
 
     def test_fft_route_covariance(self):
-        reals = self._realizations(self.spacing, self.d_c, dense=False)
+        reals = self._realizations(self.spacing, self.d_c, cutoff=False)
         self._check_cov(reals, self.spacing, self.d_c)
 
     @pytest.mark.parametrize("d_c", [1000.0, 5000.0])
-    def test_fft_route_rejects_indefinite_embedding(self, d_c):
-        """Street map, 5 m grid: three paddings to 1728x1728 leave a negative
-        eigenvalue mass of 5.9e-5 (d_c = 1000 m) and 2.3e-2 (d_c = 5000 m)
-        of the positive mass, above the 1e-6 that may be clipped."""
-        with pytest.raises(EmbeddingError, match="1728x1728: negative eigenvalue mass"):
+    def test_long_d_c_street_grid_draws(self, d_c):
+        """Street map, 5 m grid: the plain embedding fails at these d_c, even
+        padded to 1728x1728 (negative eigenvalue mass 5.9e-5 and 2.3e-2 of
+        the positive mass); the cut-off embedding holds on a 750x750 torus."""
+        amplitudes, c = _synthesis_factor(106, 106, 5.0, 8.0, d_c)
+        assert amplitudes.shape == (750, 750) and c > 0
+        values = _exponential_cov(106, 106, 5.0, 8.0, d_c, np.random.default_rng(0))
+        assert values.shape == (106, 106) and np.all(np.isfinite(values))
+
+    @pytest.mark.usefixtures("empty_factor_cache")
+    @pytest.mark.parametrize("d_c", [1000.0, 5000.0])
+    def test_fft_route_rejects_indefinite_embedding(self, d_c, monkeypatch):
+        """A grid where neither the plain nor the cut-off torus embeds raises:
+        the guard that no validated grid is known to reach."""
+        monkeypatch.setattr("irlv.channel._real_fft2", _indefinite)
+        with pytest.raises(EmbeddingError, match="106x106 grid is indefinite, plain and cut-off"):
             _exponential_cov(106, 106, 5.0, 8.0, d_c, np.random.default_rng(0))
 
     def test_fft_route_is_zero_mean(self):
@@ -194,14 +211,11 @@ class TestGenerateShadowingField:
         assert not np.array_equal(a.values, c.values)
 
     def test_large_grid_variance(self):
-        """The 106x106 street grid (above the dense node limit) takes the FFT
-        route, as every grid whose embedding holds does; its marginal
-        variance must still be sigma_s^2."""
+        """The 106x106 street grid's marginal variance is sigma_s^2."""
         s = StreetScenario.default()
         vals = np.stack(
             [generate_shadowing_field(s, PARAMS, seed=k).values for k in range(60)]
         )
-        assert vals.shape[1] * vals.shape[2] > 2500
         np.testing.assert_allclose(np.mean(vals**2), 64.0, rtol=0.1)
 
     def test_per_bs_fields_are_independent(self):
@@ -237,8 +251,7 @@ class TestNumpyFftMatchesScipy:
     @pytest.mark.parametrize("shape", FFT_SHAPES + [(324, 324)], ids=str)
     def test_complex_fft2(self, shape):
         """The kept rows of the 2-D FFT are scipy's bit for bit, for one row,
-        half of them and all; 324x324 is a doubled embedding of an 81-row
-        grid, of which a field keeps 81 rows."""
+        half of them and all, and for 81 of 324 rows."""
         scipy_fft = pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(0)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -263,16 +276,17 @@ def empty_factor_cache():
 
 
 # (scenario, params): the circular map on a 5 m grid is 17x17 nodes, whose
-# embedding fails with d_c = 1000 m (dense route); the street map on a 5 m
-# grid is 106x106 (FFT route).
+# plain embedding fails with d_c = 1000 m (cut-off route); the street map on
+# a 5 m grid is 106x106 (plain route).
 ROUTES = {
-    "dense": (CircularScenario.default(), ChannelParams(d_c_m=1000.0)),
+    "cutoff": (CircularScenario.default(), ChannelParams(d_c_m=1000.0)),
     "fft": (StreetScenario.default(), PARAMS),
 }
 
-# (nx, ny, spacing, sigma, d_c) by route (dense or not): 7x7 nodes at 15 m
-# with d_c = 1000 m falls back; 16x16 at 2 m with d_c = 10 m embeds
-FACTOR_GRIDS = {True: (7, 7, 15.0, 8.0, 1000.0), False: (16, 16, 2.0, 8.0, 10.0)}
+# (nx, ny, spacing, sigma, d_c) by route (cut-off or not): 7x7 nodes at 15 m
+# with d_c = 1000 m takes the cut-off; the 36x36 street grid at 15 m embeds
+# plainly, and still does with twice its d_c
+FACTOR_GRIDS = {True: (7, 7, 15.0, 8.0, 1000.0), False: (36, 36, 15.0, 8.0, 75.0)}
 
 
 def _counting(monkeypatch, target, original):
@@ -290,42 +304,39 @@ def _counting(monkeypatch, target, original):
 @pytest.mark.usefixtures("empty_factor_cache")
 class TestSynthesisFactorCache:
     def test_dense_factor_built_once_per_grid(self, monkeypatch):
-        calls = _counting(monkeypatch, "numpy.linalg.cholesky", np.linalg.cholesky)
-        scenario, params = ROUTES["dense"]
+        """The 17x17 disc grid at d_c = 1000 m, which the dense Cholesky
+        route once served, builds its cut-off covariance once for two
+        fields: the second field reads the cached factor."""
+        calls = _counting(monkeypatch, "irlv.channel._cutoff_cov", _cutoff_cov)
+        scenario, params = ROUTES["cutoff"]
         generate_shadowing_field(scenario, params, seed=1)
         generate_shadowing_field(scenario, params, seed=2)
         assert len(calls) == 1
         assert _synthesis_factor.cache_info().hits == 1
 
     def test_failed_embedding_is_tried_once_per_fallback_grid(self, monkeypatch):
-        """A fallback grid caches its route: two fields run the four
-        eigenvalue transforms of one failed embedding (the padding and three
-        doublings), not eight.  Above the node limit nothing is cached, so
-        every call tries the embedding again and raises."""
-        calls = _counting(monkeypatch, "irlv.channel._circulant_eigenvalues",
-                          _circulant_eigenvalues)
-        scenario, params = ROUTES["dense"]
+        """A cut-off grid caches its amplitudes: two fields run the two
+        eigenvalue transforms of one build (the failed plain embedding and
+        the cut-off), not four."""
+        calls = _counting(monkeypatch, "irlv.channel._real_fft2", _real_fft2)
+        scenario, params = ROUTES["cutoff"]
         generate_shadowing_field(scenario, params, seed=1)
         generate_shadowing_field(scenario, params, seed=2)
-        assert len(calls) == 4
-        for _ in range(2):
-            with pytest.raises(EmbeddingError):
-                _exponential_cov(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
-        assert len(calls) == 12
+        assert len(calls) == 2
+        assert _synthesis_factor.cache_info().hits == 1
 
     def test_fft_amplitudes_built_once_per_grid(self, monkeypatch):
-        calls = _counting(monkeypatch, "irlv.channel._circulant_eigenvalues",
-                          _circulant_eigenvalues)
+        calls = _counting(monkeypatch, "irlv.channel._real_fft2", _real_fft2)
         generate_fields(StreetScenario.default(), PARAMS, base_seed=4)  # five fields
-        assert len(calls) == 1  # the 216x216 embedding needs no doubling
+        assert len(calls) == 1  # the 216x216 plain embedding holds
         assert _synthesis_factor.cache_info().hits == 4
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_factor_is_read_only(self, dense):
-        route, factor = _synthesis_factor(*FACTOR_GRIDS[dense])
-        assert route == dense
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_factor_is_read_only(self, cutoff):
+        amplitudes, c = _synthesis_factor(*FACTOR_GRIDS[cutoff])
+        assert (c > 0) == cutoff
         with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 1.0
+            amplitudes[0, 0] = 1.0
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_field_after_hit_equals_field_after_clear(self, route):
@@ -338,24 +349,32 @@ class TestSynthesisFactorCache:
         assert _synthesis_factor.cache_info().hits == 0
         np.testing.assert_array_equal(hit, fresh)
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_factor_depends_on_sigma_d_c_and_spacing(self, dense):
-        nx, ny, spacing, sigma, d_c = FACTOR_GRIDS[dense]
-        base = _synthesis_factor(nx, ny, spacing, sigma, d_c)[1]
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_factor_depends_on_sigma_d_c_and_spacing(self, cutoff):
+        nx, ny, spacing, sigma, d_c = FACTOR_GRIDS[cutoff]
+        base = _synthesis_factor(nx, ny, spacing, sigma, d_c)[0]
         for changed in ((spacing, sigma / 2, d_c), (spacing, sigma, 2 * d_c), (1.5 * spacing, sigma, d_c)):
-            route, other = _synthesis_factor(nx, ny, *changed)
-            assert route == dense, changed
+            other, c = _synthesis_factor(nx, ny, *changed)
+            assert (c > 0) == cutoff, changed
             assert not np.array_equal(base, other), changed
 
-    def test_failed_embedding_is_not_cached(self):
+    def test_failed_embedding_is_not_cached(self, monkeypatch):
+        """The street grid at d_c = 5000 m draws and is cached; with its
+        eigenvalues made indefinite, every call tries both embeddings again,
+        raises and caches nothing."""
+        _exponential_cov(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
+        assert _synthesis_factor.cache_info().currsize == 1
+        _synthesis_factor.cache_clear()
+        calls = _counting(monkeypatch, "irlv.channel._real_fft2", _indefinite)
         for _ in range(2):
             with pytest.raises(EmbeddingError):
                 _exponential_cov(106, 106, 5.0, 8.0, 5000.0, np.random.default_rng(0))
+        assert len(calls) == 4
         assert _synthesis_factor.cache_info().currsize == 0
 
     def test_street_grid_at_15_m_peaks_below_1_mib(self):
-        """The 36x36 grid of the field-dense benchmark embeds, so five fields
-        from a cold cache never build an (N, N) covariance (two of 13 MB)."""
+        """The 36x36 grid of the field-dense benchmark embeds on its 72x72
+        torus, so five fields from a cold cache stay small."""
         params = ChannelParams(grid_spacing_m=15.0)
         # first-call allocations (numpy.fft's import among them) outside the peak
         generate_shadowing_field(CircularScenario.default(), params, seed=0)
@@ -376,45 +395,6 @@ class TestSynthesisFactorCache:
             assert _synthesis_factor.cache_info().currsize <= 2
         info = _synthesis_factor.cache_info()
         assert (info.maxsize, info.hits, info.misses) == (2, 0, 6)
-
-
-def _dense_factor_reference(nx, ny, spacing, sigma, d_c):
-    """The covariance of every node pair written out as one (N, N) formula."""
-    xs = np.arange(nx) * spacing
-    ys = np.arange(ny) * spacing
-    gx, gy = np.meshgrid(xs, ys)
-    px, py = gx.ravel(), gy.ravel()
-    dist = np.sqrt((px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2)
-    cov = sigma**2 * np.exp(-dist / d_c)
-    cov[np.diag_indices_from(cov)] += 1e-10 * sigma**2
-    return np.linalg.cholesky(cov)
-
-
-class TestDenseFactor:
-    # (nx, ny, spacing, sigma, d_c): the 36x36 field-dense grid, non-square
-    # grids and spacings that are not whole numbers
-    GRIDS = [
-        (36, 36, 15.0, 8.0, 75.0),
-        (17, 30, 3.75, 8.0, 75.0),
-        (40, 12, 0.7, 3.5, 12.0),
-        (23, 9, 1.1, 8.0, 75.0),
-    ]
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_equals_the_pairwise_formula(self, grid):
-        np.testing.assert_array_equal(_dense_factor(*grid), _dense_factor_reference(*grid))
-
-    def test_peak_memory_is_two_covariances(self):
-        nx = ny = 36
-        n_bytes = (nx * ny) ** 2 * 8
-        _dense_factor(4, 4, 15.0, 8.0, 75.0)  # first-call allocations outside the peak
-        tracemalloc.start()
-        try:
-            _dense_factor(nx, ny, 15.0, 8.0, 75.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * n_bytes + 64 * 1024
 
 
 class TestBilinearInterpolation:

@@ -17,6 +17,7 @@ from irlv.channel import ChannelParams, _synthesis_factor, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import SECTIONS, load_config
 from irlv.errors import NumericError
+from test_channel import _indefinite
 
 CIRCULAR = """\
 [scenario]
@@ -293,13 +294,13 @@ class TestField:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs at least two cores and sched_setaffinity")
     def test_fields_do_not_depend_on_the_core_count(self, tmp_path):
-        """A process pinned to one core writes the same dense-route fields as
-        one that may use every core (the 17x17 disc grid with d_c = 1000 m,
-        whose embedding fails).  The children get no OPENBLAS_NUM_THREADS,
+        """A process pinned to one core writes the same cut-off fields as one
+        that may use every core (the 17x17 disc grid with d_c = 1000 m, whose
+        plain embedding fails).  The children get no OPENBLAS_NUM_THREADS,
         so each takes the package's default, not this process's setting."""
         cfg = write_cfg(tmp_path, CIRCULAR.replace("sigma_s_db = 0.0",
                                                    "sigma_s_db = 8.0\nd_c_m = 1000.0"))
-        assert _synthesis_factor(17, 17, 5.0, 8.0, 1000.0)[0]  # the dense route
+        assert _synthesis_factor(17, 17, 5.0, 8.0, 1000.0)[1] > 0  # the cut-off route
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = str(Path(irlv.__file__).resolve().parents[1])
         outputs = []
@@ -456,12 +457,22 @@ class TestExitCodes:
         assert run(["roc", "--config", cfg, "--out", tmp_path / "o"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_indefinite_field_embedding_is_numeric_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("d_c", ["1000.0", "5000.0"])
+    def test_long_d_c_street_field_runs(self, tmp_path, d_c):
+        """The street grid's plain embedding fails at these d_c; the cut-off
+        embedding holds, so the validated config runs."""
+        cfg = write_cfg(tmp_path, STREET.replace("sigma_s_db = 0.0", f"d_c_m = {d_c}"))
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+    def test_indefinite_field_embedding_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        """Eigenvalues with a negative mass on both tori (a guard no validated
+        grid is known to reach) exit 3."""
+        monkeypatch.setattr("irlv.channel._real_fft2", _indefinite)
+        _synthesis_factor.cache_clear()
         cfg = write_cfg(tmp_path, STREET.replace("sigma_s_db = 0.0", "d_c_m = 1000.0"))
         assert run(["field", "--config", cfg, "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
-        assert "numeric failure: circulant embedding" in err
-        assert "negative eigenvalue mass is 5.9e-05" in err
+        assert "numeric failure: circulant embedding of the 106x106 grid is indefinite" in err
 
     def test_degenerate_data_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):

@@ -11,9 +11,10 @@ Any change that moves an output byte or a pinned value fails here, so a
 refactor that claims byte-identical outputs is checked by the suite itself.
 Floating-point results may differ between numpy and BLAS builds; the table
 records the versions it was taken with, and a mismatch prints both sets, so
-a failure on another build reads as such.  Dense-route fields also depend on
-the number of BLAS threads, so the table records that too.  A declared
-golden change rewrites both sections with `python tests/test_golden.py`.
+a failure on another build reads as such.  BLAS products may round
+differently with another thread count, so the table records that too.  A
+declared golden change rewrites both sections with
+`python tests/test_golden.py`.
 """
 
 import dataclasses
@@ -150,9 +151,9 @@ def street_two_stage_run():
     return [{**_swarm_run(result), "aucs": aucs} for result, aucs in stages]
 
 
-def dense_field():
-    """A 7x7 dense-route field (15 m apart with d_c = 1000 m, where the
-    embedding fails), bit for bit: any change to the factor's arithmetic,
+def cutoff_field():
+    """A 7x7 cut-off field (15 m apart with d_c = 1000 m, where the plain
+    embedding fails), bit for bit: any change to the cut-off's arithmetic,
     to the draw order or to the routing shows here."""
     params = ChannelParams(d_c_m=1000.0, grid_spacing_m=15.0)
     f = generate_shadowing_field(CircularScenario.default(), params, seed=11)
@@ -161,9 +162,8 @@ def dense_field():
 
 
 def fft_field_corners():
-    """A 51x51 grid (2601 nodes, above the dense limit) whose embedding
-    holds, so it takes the FFT route; its two 3x3 corner blocks, bit for
-    bit."""
+    """A 51x51 grid whose plain embedding fails at its first size, so it
+    takes the cut-off route; its two 3x3 corner blocks, bit for bit."""
     f = generate_shadowing_field(CircularScenario.default(), ChannelParams(grid_spacing_m=1.6),
                                  seed=11)
     assert f.values.shape == (51, 51)
@@ -179,7 +179,7 @@ LIBRARY = {
                                                            ChannelParams(sigma_s_db=0.0)),
     "plan_placement-street": street_plan_run,
     "plan_placement-street-two-stage": street_two_stage_run,
-    "shadowing_field-dense": dense_field,
+    "shadowing_field-cutoff": cutoff_field,
     "shadowing_field-fft-corners": fft_field_corners,
 }
 

@@ -150,6 +150,38 @@ def test_package_imports_are_used():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _linalg_uses(source: str) -> list[int]:
+    """Lines that reach numpy.linalg: an attribute `linalg` or an import of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any("linalg" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import numpy as np\nnp.linalg.cholesky(a)\n", [2]),
+    ("from numpy.linalg import solve\nfrom numpy import linalg\nimport numpy.linalg\n", [1, 2, 3]),
+    ("x = 'np.linalg'  # linalg\nlinalg = 1\n", []),
+], ids=["call", "imports", "names"])
+def test_linalg_rule(source, lines):
+    assert sorted(_linalg_uses(source)) == lines
+
+
+def test_package_calls_no_linear_algebra():
+    """Every shadowing field is an FFT draw on a circulant embedding: a dense
+    factor (numpy.linalg) would bring back a second route, a node limit and
+    bytes that depend on the BLAS build."""
+    found = {path.name: _linalg_uses(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_dependencies_are_exactly_the_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]

@@ -1,14 +1,13 @@
 """Property tests: ROC curve invariants, the alpha scan against brute force,
-and the covariance of each shadowing synthesis route."""
+and the covariance of each shadowing embedding."""
 
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irlv.channel import EmbeddingError, _fft_amplitudes, _synthesis_factor
+from irlv.channel import _synthesis_factor
 from irlv.evaluation import RocCurve
 from irlv.neyman_pearson import SectorGeometry, alpha
 from irlv.scenario import CircularScenario, Rectangle
@@ -88,25 +87,21 @@ def shadowing_grids(draw):
 
 @DETERMINISTIC
 @given(shadowing_grids())
+@example((7, 7, 15.0, 1000.0))
+@example((16, 16, 1.0, 30.0))
+@example((17, 17, 5.0, 1000.0))  # the disc map's grid
+@example((106, 106, 5.0, 1000.0))  # the street map's grid
+@example((106, 106, 5.0, 5000.0))
 def test_every_route_has_the_target_covariance(grid):
-    """A grid takes the FFT route only with an embedding whose torus
-    covariance, the inverse FFT of amp^2 * mx * my, is sigma^2 exp(-lag/d_c)
-    on every in-grid lag; clipping at most 1e-6 of the eigenvalue mass
-    moves it by at most about 1e-6 sigma^2.  Any other grid takes the dense
-    route, whose factor times its transpose is the grid covariance."""
+    """Every grid embeds (no EmbeddingError), and its torus covariance, the
+    inverse FFT of amp^2 * mx * my, plus the offset variance c is
+    sigma^2 exp(-lag/d_c) on every in-grid lag; clipping at most 1e-6 of the
+    eigenvalue mass moves it by at most about 1e-6 sigma^2."""
     nx, ny, spacing, d_c = grid
-    dense, factor = _synthesis_factor(nx, ny, spacing, SIGMA, d_c)
+    amplitudes, c = _synthesis_factor(nx, ny, spacing, SIGMA, d_c)
+    my, mx = amplitudes.shape
+    torus = c + np.fft.ifft2(amplitudes**2 * (mx * my)).real
     lx, ly = np.arange(nx) * spacing, np.arange(ny) * spacing
-    if dense:
-        with pytest.raises(EmbeddingError):
-            _fft_amplitudes(nx, ny, spacing, SIGMA, d_c)
-        px, py = np.tile(lx, ny), np.repeat(ly, nx)  # node (j, i) is row j*nx + i
-        dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
-        target = SIGMA**2 * (np.exp(-dist / d_c) + 1e-10 * np.eye(nx * ny))
-        np.testing.assert_allclose(factor @ factor.T, target, rtol=0, atol=1e-9 * SIGMA**2)
-        return
-    my, mx = factor.shape
-    torus = np.fft.ifft2(factor**2 * (mx * my)).real
     target = SIGMA**2 * np.exp(-np.hypot(ly[:, None], lx[None, :]) / d_c)
     # lags (dy, dx) and (dy, -dx); (-dy, -dx) and (-dy, dx) are their mirrors
     for lags in (torus[:ny, :nx], torus[:ny, (-np.arange(nx)) % mx]):
