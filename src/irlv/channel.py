@@ -11,9 +11,11 @@ shadowing with exponential spatial covariance
     cov(a_s at p, a_s at q) = sigma_s^2 * exp(-|p - q| / d_c).
 
 Shadowing is realized as one spatially correlated map per base station,
-sampled on a regular grid and interpolated bilinearly.  A grid's field is an
-FFT draw on a circulant embedding: the plain one where it holds, else the
-cut-off embedding (Gneiting et al., JCGS 2006; Stein, JCGS 2002).
+sampled on a regular grid and interpolated bilinearly.  A grid's field is
+one real normal array filtered by the square root of a circulant embedding's
+spectrum (Dietrich & Newsam, SIAM J. Sci. Comput. 1997): the plain embedding
+where it holds, else the cut-off one (Gneiting et al., JCGS 2006; Stein,
+JCGS 2002).
 """
 
 from __future__ import annotations
@@ -148,27 +150,9 @@ def _next_fast_len(n: int) -> int:
     return min(m for m in lengths if m >= n)
 
 
-def _fft2_rows(a: np.ndarray, n: int) -> np.ndarray:
-    """The first n rows of the 2-D FFT of a complex array, in place (no
-    padded-size array per transform), bit for bit as scipy.fft.fft2(a)[:n]:
-    along the first axis first, as scipy runs it, then on the n rows kept."""
-    np.fft.fft(a, axis=0, out=a)
-    return np.fft.fft(a[:n], axis=1, out=a[:n])
-
-
 def _real_fft2(cov: np.ndarray) -> np.ndarray:
-    """Real part of the 2-D FFT of a real array, bit for bit as
-    scipy.fft.fft2(cov).real: rfft along the last axis, fft along the
-    first, and the other half of the last axis filled from the Hermitian
-    mirror of the entry that the same row-major fill reads."""
-    my, mx = cov.shape
-    half = np.fft.fft(np.fft.rfft(cov, axis=1), axis=0).real
-    j = np.arange(my)[:, None]
-    k = np.arange(mx)[None, :]
-    mirror = mx - k
-    rows = np.where(k < mirror, j, (-j) % my)
-    rows = np.where((k == 0) | (k == mirror), np.minimum(j, (-j) % my), rows)
-    return half[rows, np.minimum(k, mirror)]
+    """Eigenvalues of the circulant whose first row is cov: its real 2-D FFT."""
+    return np.fft.fft2(cov).real
 
 
 def _torus_lags(mx, my, spacing):
@@ -205,15 +189,16 @@ def _negative_mass(lam):
     return -lam[lam < 0].sum() / lam[lam > 0].sum()
 
 
-# A cut-off torus is at most about 7 grid sides across (4.5 MB of amplitudes
+# A cut-off torus is at most about 7 grid sides across (2.3 MB of amplitudes
 # for the 106x106 street grid at d_c = 1000 m), so only two grids are kept.
 # An EmbeddingError is not cached.
 @functools.lru_cache(maxsize=2)
 def _synthesis_factor(nx, ny, spacing, sigma, d_c):
-    """Read-only per-grid amplitudes sqrt(lam / (mx*my)), shape (my, mx), and
-    offset variance c: the plain embedding (c = 0) where at most 1e-6 of its
-    eigenvalue mass is negative, else the cut-off one, with what is negative
-    clipped.  Every field on the grid shares them."""
+    """Read-only per-grid amplitudes sqrt(lam) on the rfft2 half spectrum,
+    shape (my, mx // 2 + 1), offset variance c and torus shape (my, mx): the
+    plain embedding (c = 0) where at most 1e-6 of its eigenvalue mass is
+    negative, else the cut-off one, with what is negative clipped.  Every
+    field on the grid shares them."""
     mx, my = _next_fast_len(2 * nx), _next_fast_len(2 * ny)
     lam = _real_fft2(sigma**2 * np.exp(-_torus_lags(mx, my, spacing) / d_c))
     c = 0.0
@@ -225,20 +210,19 @@ def _synthesis_factor(nx, ny, spacing, sigma, d_c):
                 f"circulant embedding of the {nx}x{ny} grid is indefinite, plain and cut-off: "
                 f"negative eigenvalue mass is {_negative_mass(lam):.2g} of the positive mass"
             )
-    amplitudes = np.sqrt(np.clip(lam, 0.0, None) / lam.size)
+    amplitudes = np.sqrt(np.clip(lam[:, : lam.shape[1] // 2 + 1], 0.0, None))
     amplitudes.flags.writeable = False
-    return amplitudes, c
+    return amplitudes, c, lam.shape
 
 
 def _exponential_cov(nx, ny, spacing, sigma, d_c, rng):
-    """One field on the grid: the torus draw from real, then imaginary,
-    normals, plus sqrt(c) times one more normal where c > 0."""
-    amplitudes, c = _synthesis_factor(nx, ny, spacing, sigma, d_c)
-    my, mx = amplitudes.shape
-    xi = np.empty((my, mx), dtype=complex)  # amplitudes * (re + 1j * im), filled in place
-    np.multiply(amplitudes, rng.standard_normal((my, mx)), out=xi.real)
-    np.multiply(amplitudes, rng.standard_normal((my, mx)), out=xi.imag)
-    values = _fft2_rows(xi, ny).real[:, :nx].copy()  # a view would keep the padded array alive
+    """One field on the grid: C^(1/2) z for the real symmetric torus
+    circulant C and one real normal array z, plus sqrt(c) times one more
+    normal where c > 0."""
+    amplitudes, c, shape = _synthesis_factor(nx, ny, spacing, sigma, d_c)
+    spectrum = np.fft.rfft2(rng.standard_normal(shape))
+    spectrum *= amplitudes
+    values = np.fft.irfft2(spectrum, s=shape)[:ny, :nx].copy()  # a view keeps the torus alive
     if c > 0.0:
         values += math.sqrt(c) * rng.standard_normal()
     return values

@@ -94,13 +94,13 @@ def shadowing_grids(draw):
 @example((106, 106, 5.0, 5000.0))
 def test_every_route_has_the_target_covariance(grid):
     """Every grid embeds (no EmbeddingError), and its torus covariance, the
-    inverse FFT of amp^2 * mx * my, plus the offset variance c is
-    sigma^2 exp(-lag/d_c) on every in-grid lag; clipping at most 1e-6 of the
-    eigenvalue mass moves it by at most about 1e-6 sigma^2."""
+    inverse real FFT of the half-spectrum amp^2, plus the offset variance c
+    is sigma^2 exp(-lag/d_c) on every in-grid lag; clipping at most 1e-6 of
+    the eigenvalue mass moves it by at most about 1e-6 sigma^2."""
     nx, ny, spacing, d_c = grid
-    amplitudes, c = _synthesis_factor(nx, ny, spacing, SIGMA, d_c)
-    my, mx = amplitudes.shape
-    torus = c + np.fft.ifft2(amplitudes**2 * (mx * my)).real
+    amplitudes, c, shape = _synthesis_factor(nx, ny, spacing, SIGMA, d_c)
+    mx = shape[1]
+    torus = c + np.fft.irfft2(amplitudes**2, s=shape)
     lx, ly = np.arange(nx) * spacing, np.arange(ny) * spacing
     target = SIGMA**2 * np.exp(-np.hypot(ly[:, None], lx[None, :]) / d_c)
     # lags (dy, dx) and (dy, -dx); (-dy, -dx) and (-dy, dx) are their mirrors
