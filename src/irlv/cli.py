@@ -23,14 +23,15 @@ import numpy as np
 
 from . import __version__
 from .channel import generate_fields, generate_shadowing_field, save_field
-from .config import ConfigError, OBJECTIVE_BOTH, RunConfig, Seeds, default_config_path, load_config
+from .config import ConfigError, RunConfig, Seeds, default_config_path, load_config
 from .errors import NumericError
 from .evaluation import auc, average_roc, roc_to_csv
 from .mlp import train  # noqa: F401  bench/tests/test_bench.py checks that tracing patches it here
 from .neyman_pearson import SectorGeometry, np_roc
 from .planner import (
-    OBJECTIVE_AUC,
     OBJECTIVE_CE,
+    OBJECTIVES,
+    STAGES,
     PlacementEvalConfig,
     evaluate_placement,
     plan_placement,
@@ -132,37 +133,32 @@ def cmd_np_compare(cfg: RunConfig, out, jobs: int) -> None:
     })
 
 
-def proxy_validity_flags(objective: str, mean_auc) -> list[str]:
+def proxy_validity_flags(stage: str, mean_auc) -> list[str]:
     """The training loss is a valid planning surrogate only with enough
-    data; an upward mean-AUC trend during a CE-objective run marks the
-    regime where it is not."""
-    if objective == OBJECTIVE_CE and len(mean_auc) >= 2 and mean_auc[-1] > mean_auc[0]:
+    data; an upward mean-AUC trend during a search stage that minimizes CE
+    marks the regime where it is not."""
+    if STAGES[stage] == OBJECTIVE_CE and len(mean_auc) >= 2 and mean_auc[-1] > mean_auc[0]:
         return ["below proxy-validity size"]
     return []
 
 
 def cmd_plan(cfg: RunConfig, out, jobs: int) -> None:
-    """Placement searches per objective and seed, with best-value history
-    CSVs and the per-iteration mean AUC across seeds.
+    """Placement search stages per seed, named as planner.OBJECTIVES names
+    them, with best-value history CSVs and the per-iteration mean AUC.
 
     A seed's searches differ only in their objective, so they run as one
     job in lockstep (see plan_placement); --jobs splits the seeds.
     """
-    objectives = (
-        [OBJECTIVE_CE, OBJECTIVE_AUC] if cfg.objective == OBJECTIVE_BOTH
-        else [cfg.objective]
-    )
-    payloads = [(cfg.scenario, cfg.placement, cfg.seeds.shifted(k), cfg.pso, objectives)
+    stages = [name for search in OBJECTIVES[cfg.objective] for name in search]
+    payloads = [(cfg.scenario, cfg.placement, cfg.seeds.shifted(k), cfg.pso, [cfg.objective])
                 for k in range(cfg.sweep.n_seeds)]
-    runs = {(obj, k): run for k, seed_runs in enumerate(_map_jobs(plan_placement, payloads, jobs))
-            for obj, run in zip(objectives, seed_runs)}
+    by_stage = zip(*_map_jobs(plan_placement, payloads, jobs), strict=True)  # each: one per seed
     summary = {}
-    for obj in objectives:
+    for obj, seed_runs in zip(stages, by_stage, strict=True):
         series = []
         placements = ["seed,bs_index,x,y"]
         converged = []
-        for k in range(cfg.sweep.n_seeds):
-            result, aucs = runs[(obj, k)]
+        for k, (result, aucs) in enumerate(seed_runs):
             lines = ["iteration,best_objective,best_auc"]
             lines += [
                 f"{i},{value:.17g},{a:.17g}"

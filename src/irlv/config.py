@@ -14,7 +14,7 @@ from pathlib import Path
 from .channel import ChannelParams
 from .mlp import TrainConfig
 from .neyman_pearson import MAX_RESOLUTION_RAD, MIN_NP_ROC_SAMPLES
-from .planner import OBJECTIVE_AUC, OBJECTIVE_CE, PlacementEvalConfig, PsoConfig, Seeds
+from .planner import OBJECTIVE_CE, PlacementEvalConfig, PsoConfig, Seeds, searches
 from .scenario import (
     SCENARIO_CIRCULAR,
     SCENARIO_STREET,
@@ -22,8 +22,6 @@ from .scenario import (
     ScenarioConfig,
     StreetScenario,
 )
-
-OBJECTIVE_BOTH = "both"
 
 
 class ConfigError(ValueError):
@@ -75,12 +73,11 @@ class RunConfig:
     eval: EvalConfig
     sweep: SweepConfig
     seeds: Seeds
-    objective: str = OBJECTIVE_CE  # [pso] objective: ce, auc, or both
+    objective: str = OBJECTIVE_CE  # [pso] objective: a key of planner.OBJECTIVES
     directory: str = "runs"  # [output] directory
 
     def __post_init__(self):
-        if self.objective not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_BOTH):
-            raise ValueError(f"objective: unknown objective {self.objective!r}")
+        searches(self.objective)  # refuses a value the search table does not list
 
 
 def _names(cls) -> tuple[str, ...]:

@@ -14,11 +14,10 @@ objective differences reflect placement alone.  The positions, labels,
 initial weights and mini-batch order are therefore shared by every
 placement: evaluate_placement draws the rows once and trains the networks
 of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
-training it alone.  A search is an objective: plan_placement runs one
-per objective (CE, AUC, or the paper's two-stage CE-then-AUC search), all
-with one swarm config and seeds.pso, in lockstep: one field draw, one cache
-of placement scores and one stack per sweep for every stage of every
-search, with each search's results as if it ran alone.
+training it alone.  plan_placement runs the searches that the search
+table OBJECTIVES lists for its objectives, with one swarm config and
+seeds.pso, in lockstep: one field draw, one cache of placement scores and
+one stack per sweep for every stage, each search's results as if alone.
 """
 
 from __future__ import annotations
@@ -34,7 +33,20 @@ from .mlp import TrainConfig, default_layer_sizes, forward, init_mlp, train
 
 OBJECTIVE_CE = "ce"
 OBJECTIVE_AUC = "auc"
-OBJECTIVE_TWO_STAGE = "two-stage"
+
+# The search table, the one home of the [pso] objective vocabulary: each value -> its
+# searches -> each search's stages in order, a later one started from the best placement
+# of the one before; a stage is named by its outputs and minimizes the score STAGES gives.
+OBJECTIVES = {"ce": [["ce"]], "auc": [["auc"]], "both": [["ce"], ["auc"]],
+              "two-stage": [["two-stage-ce", "two-stage-auc"]]}
+STAGES = {"ce": "ce", "auc": "auc", "two-stage-ce": "ce", "two-stage-auc": "auc"}
+
+
+def searches(objective: str) -> list[list[str]]:
+    """The searches an objective runs, or a ValueError naming the table's values."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective: {objective!r} is not one of {', '.join(OBJECTIVES)}")
+    return OBJECTIVES[objective]
 
 
 @dataclass(frozen=True)
@@ -237,37 +249,33 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig, seeds: Seeds,
 
 def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoConfig, objectives,
                    initial_positions=None) -> list[tuple[PsoResult, list[float]]]:
-    """PSO over n_bs base-station positions on the scenario map, one search
-    per objective, run in lockstep on one evaluation config.
+    """PSO over n_bs base-station positions on the scenario map: the
+    searches of every objective (a key of OBJECTIVES) in lockstep.
 
-    Each objective is "ce" (training CE), "auc" (test AUC) or "two-stage",
-    the paper's search: a CE stage whose stop starts an AUC stage with one
-    particle at its best placement and the rest jittered around it (sigma =
-    map extent / 20, clamped).  Every search starts pso's swarm from
-    default_rng(seeds.pso) and from initial_positions, if given, so the
-    searches differ only in what they minimize; a second stage draws its
-    jitter, then its swarm seed, from default_rng([seeds.pso, 2]).  The
-    fields are drawn once, from seeds.field, and each distinct placement is
-    evaluated once, whichever stage reaches it: every sweep, the unseen
-    placements of all running stages go to evaluate_placement in one call,
-    as one stack.  A stage stops when it stalls or reaches max_iterations.
-    Returns per search stage, in objective order, the swarm result and the
-    test AUC of the best placement at every iteration, each as if it ran
-    alone.
+    "two-stage" is the paper's search: a CE stage whose stop starts an AUC
+    stage with one particle at its best placement and the rest jittered
+    around it (sigma = map extent / 20, clamped).  Every search starts
+    pso's swarm from default_rng(seeds.pso) and from initial_positions, if
+    given, so the searches differ only in what they minimize; a second
+    stage draws its jitter, then its swarm seed, from
+    default_rng([seeds.pso, 2]).  The fields are drawn once, from
+    seeds.field, and each distinct placement is evaluated once, whichever
+    stage reaches it: every sweep, the unseen placements of all running
+    stages go to evaluate_placement in one call, as one stack.  A stage
+    stops when it stalls or reaches max_iterations.  Returns per search
+    stage, in objective order, the swarm result and the test AUC of the
+    best placement at every iteration, each as if it ran alone.
     """
-    if any(o not in (OBJECTIVE_CE, OBJECTIVE_AUC, OBJECTIVE_TWO_STAGE) for o in objectives):
-        raise ValueError(f"objective must be {OBJECTIVE_CE!r}, {OBJECTIVE_AUC!r} "
-                         f"or {OBJECTIVE_TWO_STAGE!r}")
+    # per search stage: the score it minimizes, and whether it starts from the stage before
+    stages = [(STAGES[name], j > 0) for o in objectives for search in searches(o)
+              for j, name in enumerate(search)]
     fields = generate_fields(scenario, cfg.channel, seeds.field)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
-    # one objective per search stage; None marks a two-stage search's second, AUC stage
-    stages = [s for o in objectives
-              for s in ((OBJECTIVE_CE, None) if o == OBJECTIVE_TWO_STAGE else (o,))]
     swarms = {i: _swarm(bounds, 2 * scenario.n_bs, pso, np.random.default_rng(seeds.pso),
-                        initial_positions) for i, stage in enumerate(stages) if stage}
+                        initial_positions) for i, (_, follows) in enumerate(stages) if not follows}
     sweeps = {i: next(search) for i, search in swarms.items()}
     results = [None] * len(stages)
     while sweeps:
@@ -279,12 +287,11 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoCon
                          in zip(new, evaluate_placement(scenario, fields, cfg, seeds, placements)))
         for i, xs in list(sweeps.items()):
             try:
-                sweeps[i] = swarms[i].send(
-                    [cache[x.tobytes()][stages[i] or OBJECTIVE_AUC] for x in xs])
+                sweeps[i] = swarms[i].send([cache[x.tobytes()][stages[i][0]] for x in xs])
             except StopIteration as stop:
                 results[i] = stop.value
                 del sweeps[i]
-                if i + 1 < len(stages) and stages[i + 1] is None:
+                if i + 1 < len(stages) and stages[i + 1][1]:
                     rng = np.random.default_rng([seeds.pso, 2])
                     starts = np.tile(results[i].best_x, (pso.n_particles, 1))
                     starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)

@@ -17,6 +17,7 @@ from irlv.channel import ChannelParams, _synthesis_factor, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import SECTIONS, load_config
 from irlv.errors import NumericError
+from irlv.planner import OBJECTIVES
 from test_channel import _indefinite
 
 CIRCULAR = """\
@@ -246,12 +247,42 @@ class TestPlan:
         assert isinstance(summary["ce"]["flags"], list)
         assert summary["auc"]["final_mean_auc"] <= summary["auc"]["initial_mean_auc"]
 
-    def test_single_objective_config(self, tmp_path):
-        cfg = write_cfg(tmp_path, STREET.replace("objective = both", "objective = auc"))
+    # [pso] objective -> the stage names its outputs carry, written out here, so a value the
+    # search table gains without naming its outputs fails the test below
+    STAGE_NAMES = {"ce": ["ce"], "auc": ["auc"], "both": ["ce", "auc"],
+                   "two-stage": ["two-stage-ce", "two-stage-auc"]}
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_single_objective_config(self, tmp_path, objective):
+        cfg = write_cfg(tmp_path, STREET.replace("objective = both", f"objective = {objective}"))
         out = tmp_path / "out"
         assert run(["plan", "--config", cfg, "--out", out]) == 0
-        assert (out / "plan_auc_mean.csv").is_file()
-        assert not (out / "plan_ce_mean.csv").exists()
+        expected = {f"plan_{stage}_{part}.csv" for stage in self.STAGE_NAMES[objective]
+                    for part in ("seed0", "seed1", "mean", "placements")}
+        assert {p.name for p in out.iterdir()} == expected | {"summary.json", "manifest.json"}
+        assert set(json.loads((out / "summary.json").read_text())) == set(self.STAGE_NAMES[objective])
+
+    def test_two_stage_writes_both_stages(self, tmp_path):
+        """Stage one is the CE search as an objective = ce run writes it,
+        and stage two starts from its best placement, so its first best AUC
+        is no worse than stage one's last.  The file set of both stages is
+        test_single_objective_config's two-stage case."""
+        outs = {}
+        for objective in ("two-stage", "ce"):
+            cfg = write_cfg(tmp_path, STREET.replace("objective = both", f"objective = {objective}"),
+                            name=f"{objective}.cfg")
+            outs[objective] = tmp_path / objective
+            assert run(["plan", "--config", cfg, "--out", outs[objective]]) == 0
+        two, ce = outs["two-stage"], outs["ce"]
+        for part in ("seed0", "seed1", "mean", "placements"):
+            assert ((two / f"plan_two-stage-ce_{part}.csv").read_bytes()
+                    == (ce / f"plan_ce_{part}.csv").read_bytes())
+        summary = json.loads((two / "summary.json").read_text())
+        assert summary["two-stage-ce"] == json.loads((ce / "summary.json").read_text())["ce"]
+        for k in (0, 1):
+            first, second = (np.loadtxt(two / f"plan_two-stage-{s}_seed{k}.csv", delimiter=",",
+                                        skiprows=1, ndmin=2) for s in ("ce", "auc"))
+            assert second[0, 2] <= first[-1, 2]
 
     def test_circular_scenario_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CIRCULAR)
@@ -267,6 +298,10 @@ class TestProxyValidityFlag:
         assert proxy_validity_flags("ce", [0.35, 0.30]) == []
         assert proxy_validity_flags("auc", [0.30, 0.35]) == []
         assert proxy_validity_flags("ce", [0.30]) == []
+
+    def test_two_stage_flagged_by_the_score_each_stage_minimizes(self):
+        assert proxy_validity_flags("two-stage-ce", [0.30, 0.35]) == ["below proxy-validity size"]
+        assert proxy_validity_flags("two-stage-auc", [0.30, 0.35]) == []
 
 
 class TestField:

@@ -138,9 +138,10 @@ class TestLoadConfig:
         # PlacementEvalConfig raises it, but batch_size is TrainConfig's [nn] key
         ("[dataset]\ns_total = 100\n",
          r"^\[nn\] batch_size: exceeds the training split of 100 samples$"),
+        ("[pso]\nobjective = f1\n", r"^\[pso\] objective: 'f1' is not one of ce, auc, both, two-stage$"),
     ], ids=["unknown-key", "unknown-section", "constant", "np-samples", "resolution", "zero-width",
             "sweep-size", "sweep-list", "dataset-size", "empty-class", "empty-class-in-sweep",
-            "batch-in-split"])
+            "batch-in-split", "objective"])
     def test_bad_input_named_by_key(self, tmp_path, text, match):
         path = write_cfg(tmp_path, MINIMAL + text)
         with pytest.raises(ConfigError, match=match):
@@ -214,7 +215,7 @@ class TestTypesCheckTheirOwnKeys:
         (lambda: RunConfig(scenario=StreetScenario.default(), placement=PlacementEvalConfig(),
                            pso=PsoConfig(), eval=EvalConfig(), sweep=SweepConfig(),
                            seeds=Seeds(0, 1, 2, 3), objective="f1"),
-         "objective: unknown objective 'f1'"),
+         "objective: 'f1' is not one of ce, auc, both, two-stage"),
         (lambda: PsoConfig(stall_iterations=0), "stall_iterations: must be at least 1"),
         (lambda: TrainConfig(batch_size=0), "batch_size: must be at least 1"),
     ], ids=["p0", "n_layers", "empty-class", "batch-vs-split", "n_thetas", "n_seeds",

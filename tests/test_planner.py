@@ -12,7 +12,6 @@ from irlv.mlp import TrainConfig
 from irlv.planner import (
     OBJECTIVE_AUC,
     OBJECTIVE_CE,
-    OBJECTIVE_TWO_STAGE,
     PlacementEvalConfig,
     PsoConfig,
     Seeds,
@@ -276,7 +275,7 @@ class TestEvaluatePlacement:
         assert score.auc_value == auc(score.roc)
 
     def test_bad_objective_rejected(self):
-        with pytest.raises(ValueError, match="objective must be 'ce', 'auc' or 'two-stage'"):
+        with pytest.raises(ValueError, match="objective: 'f1' is not one of ce, auc, both, two-stage"):
             plan_placement(DiscRoiScenario(), FAST_EVAL, FAST_SEEDS, PsoConfig(), ["f1"])
 
 
@@ -368,7 +367,7 @@ class TestPlanPlacement:
         scenario = DiscRoiScenario()
         pso = PsoConfig(n_particles=3, max_iterations=3, stall_iterations=2)
         (result1, aucs1), (result2, aucs2) = plan_placement(
-            scenario, self.GRID_EVAL, self._seeds(3), pso, [OBJECTIVE_TWO_STAGE])
+            scenario, self.GRID_EVAL, self._seeds(3), pso, ["two-stage"])
         assert len(aucs1) == len(result1.history)
         # stage 2's first particle sits at the stage-1 best, scored in AUC units
         assert result2.particle_values[0][0] == aucs1[-1]
@@ -391,7 +390,7 @@ class TestLockstep:
         (1, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
          [OBJECTIVE_CE, OBJECTIVE_AUC], [(2, True), (5, False)]),
         (2, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
-         [OBJECTIVE_CE, OBJECTIVE_TWO_STAGE], [(2, True), (2, True), (2, True)]),
+         [OBJECTIVE_CE, "two-stage"], [(2, True), (2, True), (2, True)]),
     ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first", "ce-stalls-first",
             "two-stage-beside-ce"])
     def test_matches_searches_run_alone(self, pso_seed, pso, objectives, stops):
@@ -461,7 +460,7 @@ class TestLockstep:
         monkeypatch.setattr("irlv.planner.generate_fields", counting_fields)
         monkeypatch.setattr("irlv.planner.evaluate_placement", counting_evaluate)
         pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
-        two, ce_only = (OBJECTIVE_TWO_STAGE,), (OBJECTIVE_CE,)
+        two, ce_only = ("two-stage",), (OBJECTIVE_CE,)
         ce_two = ce_only + two
         runs, counts = {}, {}
         for objectives in (two, ce_two, ce_only):
@@ -533,7 +532,7 @@ class TestSwarmSeed:
         monkeypatch.setattr("irlv.planner._swarm", swarm_spy)
         pso = PsoConfig(n_particles=3, max_iterations=1, stall_iterations=3)
         stages = plan_placement(StreetScenario.default(), STREET_EVAL, seeds, pso,
-                                [OBJECTIVE_TWO_STAGE])
+                                ["two-stage"])
         return stages, evaluated, swarms
 
     def test_two_stage_deterministic_and_seeded_by_pso(self, monkeypatch):
