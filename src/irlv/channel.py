@@ -242,8 +242,7 @@ def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> Shad
     if sigma == 0.0:
         values = np.zeros((ny, nx))
     else:
-        rng = np.random.default_rng(seed)
-        values = _exponential_cov(nx, ny, spacing, sigma, params.d_c_m, rng)
+        values = _exponential_cov(nx, ny, spacing, sigma, params.d_c_m, np.random.default_rng(seed))
     return ShadowingField(
         origin_x=xmin,
         origin_y=ymin,
@@ -255,17 +254,10 @@ def generate_shadowing_field(scenario, params: ChannelParams, seed: int) -> Shad
     )
 
 
-def field_seed(base_seed: int, bs_index: int) -> int:
-    """Stable per-base-station seed derived from a run-level field seed."""
-    return int(np.random.SeedSequence([int(base_seed), int(bs_index)]).generate_state(1, np.uint64)[0])
-
-
-def generate_fields(scenario, params: ChannelParams, base_seed: int) -> list[ShadowingField]:
-    """One independent shadowing map per base station."""
-    return [
-        generate_shadowing_field(scenario, params, field_seed(base_seed, n))
-        for n in range(scenario.n_bs)
-    ]
+def generate_fields(scenario, params: ChannelParams, seeds) -> list[ShadowingField]:
+    """One independent shadowing map per base station n, from field stream n of seeds."""
+    return [generate_shadowing_field(scenario, params, seeds.rng("field", n, int_seed=True))
+            for n in range(scenario.n_bs)]
 
 
 def attenuation_matrix(scenario, params: ChannelParams, xy: np.ndarray, placement) -> np.ndarray:

@@ -71,7 +71,7 @@ def _map_jobs(fn, payloads, jobs: int):
 def _evaluate_task(scenario, cfg: PlacementEvalConfig, seeds: Seeds):
     """Score the scenario's placement on fields drawn for this task alone
     (inside the job, so no task holds another task's fields)."""
-    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    fields = generate_fields(scenario, cfg.channel, seeds)
     return evaluate_placement(scenario, fields, cfg, seeds, np.array([scenario.bs_positions]))[0]
 
 
@@ -80,7 +80,8 @@ def cmd_roc(cfg: RunConfig, out, jobs: int) -> None:
     combos = [(nh, s) for nh in cfg.sweep.n_hidden for s in cfg.sweep.s_total]
     tasks = [(nh, s, k) for nh, s in combos for k in range(cfg.sweep.n_seeds)]
     payloads = [(cfg.scenario, dataclasses.replace(cfg.placement, n_hidden=nh, s_total=s),
-                 cfg.seeds.shifted(k)) for nh, s, k in tasks]
+                 dataclasses.replace(cfg.seeds, replicate=cfg.seeds.replicate + k))
+                for nh, s, k in tasks]
     scores = _map_jobs(_evaluate_task, payloads, jobs)
     curves = {task: score.roc for task, score in zip(tasks, scores)}
     summary = ["n_hidden,s_total,seed,auc"]
@@ -110,8 +111,7 @@ def cmd_np_compare(cfg: RunConfig, out, jobs: int) -> None:
 
     geometry = SectorGeometry(scenario, cfg.eval.resolution_rad)
     thetas = np.exp2(np.linspace(-16.0, 4.0, cfg.eval.n_thetas))
-    rng = np.random.default_rng([cfg.seeds.dataset, 1])
-    np_curve = np_roc(geometry, cfg.eval.n_np_samples, thetas, rng)
+    np_curve = np_roc(geometry, cfg.eval.n_np_samples, thetas, cfg.seeds.rng("dataset", 1))
 
     nn_grid = average_roc([nn_curve])
     np_grid = average_roc([np_curve])
@@ -150,8 +150,9 @@ def cmd_plan(cfg: RunConfig, out, jobs: int) -> None:
     job in lockstep (see plan_placement); --jobs splits the seeds.
     """
     stages = [name for search in OBJECTIVES[cfg.objective] for name in search]
-    payloads = [(cfg.scenario, cfg.placement, cfg.seeds.shifted(k), cfg.pso, [cfg.objective])
-                for k in range(cfg.sweep.n_seeds)]
+    payloads = [(cfg.scenario, cfg.placement,
+                 dataclasses.replace(cfg.seeds, replicate=cfg.seeds.replicate + k), cfg.pso,
+                 [cfg.objective]) for k in range(cfg.sweep.n_seeds)]
     by_stage = zip(*_map_jobs(plan_placement, payloads, jobs), strict=True)  # each: one per seed
     summary = {}
     for obj, seed_runs in zip(stages, by_stage, strict=True):
@@ -194,7 +195,7 @@ def cmd_field(cfg: RunConfig, out, jobs: int) -> None:
     a plain product average over realizations, along both grid axes.
     """
     scenario, params, seeds = cfg.scenario, cfg.placement.channel, cfg.seeds
-    fields = generate_fields(scenario, params, seeds.field)
+    fields = generate_fields(scenario, params, seeds)
     for n, f in enumerate(fields):
         save_field(f, out(f"field_bs{n}.csv"))
 
@@ -204,7 +205,8 @@ def cmd_field(cfg: RunConfig, out, jobs: int) -> None:
     counts = np.zeros(max_k + 1)
     n_real = cfg.sweep.n_field_realizations
     for r in range(n_real):
-        v = generate_shadowing_field(scenario, params, seeds.field + r).values
+        replicate = dataclasses.replace(seeds, replicate=seeds.replicate + r)
+        v = generate_shadowing_field(scenario, params, replicate.rng("field", 0, int_seed=True)).values
         sums[0] += np.sum(v * v)
         counts[0] += v.size
         for k in range(1, max_k + 1):
@@ -236,13 +238,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config_path: Path,
-                    seeds: Seeds, seed_offset: int, names: list[str]) -> None:
+def _write_manifest(out_dir: Path, command: str, config_path: Path, seeds: Seeds, names) -> None:
     manifest = {
         "command": command,
         "config_sha256": _sha256(Path(config_path)),
-        "seed_offset": seed_offset,
-        "seeds": dataclasses.asdict(seeds),
+        "seed_offset": seeds.replicate,
+        "seeds": {key: getattr(seeds, key) for key in Seeds.ROOTS},
         "outputs": {name: _sha256(out_dir / name) for name in sorted(names)},
         "versions": {
             "irlv": __version__,
@@ -288,21 +289,20 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: [output] directory)")
         p.add_argument("--seed-offset", type=int, default=0,
-                       help="added to every configured seed")
+                       help="the first replicate: seed k draws replicate N + k")
         p.add_argument("--jobs", type=_job_count, default=1,
                        help="parallel sweep jobs")
     args = parser.parse_args(argv)
     runner, _, scenario_class = commands[args.command]
     config_path = args.config if args.config is not None else default_config_path()
     try:
-        loaded = load_config(config_path)
-        if not isinstance(loaded.scenario, scenario_class):
+        cfg = load_config(config_path)
+        if not isinstance(cfg.scenario, scenario_class):
             kind = scenario_class.__name__.removesuffix("Scenario").lower()
             raise ConfigError(f"[scenario] kind: {args.command} requires the {kind} scenario")
-        try:
-            cfg = dataclasses.replace(loaded, seeds=loaded.seeds.shifted(args.seed_offset))
-        except ValueError as exc:
-            raise ConfigError(f"--seed-offset {args.seed_offset}: shifted [seeds] {exc}") from None
+        if args.seed_offset < 0:
+            raise ConfigError(f"--seed-offset: {args.seed_offset} is below 0")
+        cfg = dataclasses.replace(cfg, seeds=dataclasses.replace(cfg.seeds, replicate=args.seed_offset))
         out_dir = Path(args.out or cfg.directory)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
             return out_dir / name
 
         runner(cfg, out, args.jobs)
-        _write_manifest(out_dir, args.command, config_path, loaded.seeds, args.seed_offset, names)
+        _write_manifest(out_dir, args.command, config_path, cfg.seeds, names)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -96,7 +96,7 @@ SECTIONS = {
     "pso": {PsoConfig: _names(PsoConfig), RunConfig: ("objective",)},
     "eval": {EvalConfig: _names(EvalConfig)},
     "sweep": {SweepConfig: _names(SweepConfig)},
-    "seeds": {Seeds: _names(Seeds)},
+    "seeds": {Seeds: Seeds.ROOTS},
     "output": {RunConfig: ("directory",)},
 }
 
@@ -188,7 +188,7 @@ def load_config(path) -> RunConfig:
         # the sweep lists default to the single [nn]/[dataset] value
         "sweep": SweepConfig(**{"n_hidden": (placement.n_hidden,),
                                 "s_total": (placement.s_total,), **sweep_keys}),
-        "seeds": _build(Seeds, {key: _get(parser, "seeds", key, int) for key in _names(Seeds)}),
+        "seeds": _build(Seeds, {key: _get(parser, "seeds", key, int) for key in Seeds.ROOTS}),
         **_read(parser, "pso", RunConfig), **_read(parser, "output", RunConfig),
     })
 

@@ -84,11 +84,11 @@ def default_layer_sizes(n_inputs: int, n_hidden: int, n_layers: int) -> list[int
     return [n_inputs] + [n_hidden] * (n_layers - 1) + [1]
 
 
-def init_mlp(layer_sizes, seed: int, copies: int = 1) -> MLP:
+def init_mlp(layer_sizes, seed, copies: int = 1) -> MLP:
     """Uniform weights in [-s, s] with s = sqrt(6/(fan_in+fan_out)); zero biases.
 
-    Returns a stack of copies networks that all start from this draw.
-    """
+    Returns a stack of copies networks that all start from this draw, from
+    seed (anything np.random.default_rng takes)."""
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise ValueError(f"invalid layer sizes: {sizes}")

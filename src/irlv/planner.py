@@ -16,7 +16,7 @@ placement: evaluate_placement draws the rows once and trains the networks
 of a sweep as one stack in lockstep (see irlv.mlp), each bit-identical to
 training it alone.  plan_placement runs the searches that the search
 table OBJECTIVES lists for its objectives, with one swarm config and
-seeds.pso, in lockstep: one field draw, one cache of placement scores and
+swarm stream, in lockstep: one field draw, one cache of placement scores and
 one stack per sweep for every stage, each search's results as if alone.
 """
 
@@ -105,11 +105,12 @@ def run_pso(objective_fn, bounds, dim: int, config: PsoConfig,
         return stop.value
 
 
-def _swarm(bounds, dim: int, config: PsoConfig, rng: np.random.Generator, initial_positions):
+def _swarm(bounds, dim: int, config: PsoConfig, rng, initial_positions):
     """run_pso's search as a generator: yields each sweep's positions,
     takes their values by send and returns the PsoResult.  It draws from
-    rng only while it runs, so searches with their own generators can run
-    in lockstep."""
+    rng (a generator, or a seed of one) only while it runs, so searches
+    with their own generators can run in lockstep."""
+    rng = np.random.default_rng(rng)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (dim,)) for b in bounds)
     if np.any(lo >= hi):
         raise ValueError("lower bounds must stay below upper bounds")
@@ -170,18 +171,28 @@ def _swarm(bounds, dim: int, config: PsoConfig, rng: np.random.Generator, initia
 
 @dataclass(frozen=True)
 class Seeds:
+    ROOTS = ("field", "dataset", "init", "pso")  # the [seeds] keys
     field: int
     dataset: int
     init: int
     pso: int
+    replicate: int = 0  # --seed-offset + k for a run's k-th seed; not a key
 
     def __post_init__(self):
+        roots = [getattr(self, key) for key in self.ROOTS]
         for key, seed in vars(self).items():
-            if seed < 0:
-                raise ValueError(f"{key}: {seed} is below 0")
+            if seed < 0 or key in self.ROOTS and seed >= 2**32:  # [2**32, s, 0] is [0, 1, s]
+                raise ValueError(f"{key}: {seed} is {'below 0' if seed < 0 else 'not below 2**32'}")
+            if key in self.ROOTS and self.ROOTS[roots.index(seed)] != key:  # a root per purpose
+                raise ValueError(f"{key}: {seed} is also the {self.ROOTS[roots.index(seed)]} root")
 
-    def shifted(self, offset: int) -> Seeds:
-        return Seeds(**{key: seed + offset for key, seed in vars(self).items()})
+    def rng(self, root: str, stream: int = 0, int_seed: bool = False):
+        """The stream rule: the generator keyed [root, stream, replicate], or
+        a field's int seed, the key's first state word.  Streams: dataset rows
+        0, NP oracle 1; pso swarm 0, second stage 2; field n for base station
+        n; init 0.  Keys pad with zeros: replicate 0 draws what [root, stream] did."""
+        key = np.random.SeedSequence([getattr(self, root), stream, self.replicate])
+        return int(key.generate_state(1, np.uint64)[0]) if int_seed else np.random.default_rng(key)
 
 
 @dataclass(frozen=True)
@@ -230,18 +241,17 @@ def evaluate_placement(scenario, fields, cfg: PlacementEvalConfig, seeds: Seeds,
     attenuation features and standardization, and the P networks train as
     one stack.  fields holds one shadowing map per base station (None for
     none); they depend only on the map bounds, the base-station count and
-    seeds.field, so callers draw them once for every placement.  The rows
-    come from seeds.dataset, the weights and batch order from seeds.init,
-    and a placement's score does not depend on the others.
+    the field seeds, so callers draw them once for every placement.  The
+    rows come from seeds.rng("dataset"), the weights and batch order from
+    seeds.rng("init"), and a placement's score does not depend on the others.
     """
-    train_set, test_set = split(generate_dataset(
-        scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
-        np.random.default_rng(seeds.dataset), placements,
-    ), cfg.train_frac)
+    train_set, test_set = split(generate_dataset(scenario, fields, cfg.channel, cfg.s_total, cfg.p0,
+                                                 seeds.rng("dataset"), placements), cfg.train_frac)
     train_n, test_n = normalize(train_set, test_set)
     del train_set, test_set  # free the raw features before training: P times a network's
     sizes = default_layer_sizes(scenario.n_bs, cfg.n_hidden, cfg.n_layers)
-    mlp, ce = train(init_mlp(sizes, seeds.init, len(placements)), train_n, cfg.train, seeds.init)
+    mlp, ce = train(init_mlp(sizes, seeds.rng("init"), len(placements)), train_n, cfg.train,
+                    seeds.rng("init"))
     rocs = [empirical_roc(s, test_n.labels) for s in forward(mlp, test_n.features).T]
     return [PlacementScore(ce_bits=float(c), auc_value=auc(roc), roc=roc)
             for c, roc in zip(ce, rocs)]
@@ -255,27 +265,26 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoCon
     "two-stage" is the paper's search: a CE stage whose stop starts an AUC
     stage with one particle at its best placement and the rest jittered
     around it (sigma = map extent / 20, clamped).  Every search starts
-    pso's swarm from default_rng(seeds.pso) and from initial_positions, if
+    pso's swarm from seeds.rng("pso") and from initial_positions, if
     given, so the searches differ only in what they minimize; a second
-    stage draws its jitter, then its swarm seed, from
-    default_rng([seeds.pso, 2]).  The fields are drawn once, from
-    seeds.field, and each distinct placement is evaluated once, whichever
-    stage reaches it: every sweep, the unseen placements of all running
-    stages go to evaluate_placement in one call, as one stack.  A stage
-    stops when it stalls or reaches max_iterations.  Returns per search
-    stage, in objective order, the swarm result and the test AUC of the
-    best placement at every iteration, each as if it ran alone.
+    stage draws its jitter, then its swarm seed, from seeds.rng("pso", 2).
+    The fields are drawn once and each distinct placement is evaluated
+    once, whichever stage reaches it: every sweep, the unseen placements
+    of all running stages go to evaluate_placement in one call, as one
+    stack.  A stage stops when it stalls or reaches max_iterations.
+    Returns per search stage, in objective order, the swarm result and the
+    test AUC of the best placement at every iteration, each as if alone.
     """
     # per search stage: the score it minimizes, and whether it starts from the stage before
     stages = [(STAGES[name], j > 0) for o in objectives for search in searches(o)
               for j, name in enumerate(search)]
-    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    fields = generate_fields(scenario, cfg.channel, seeds)
     cache: dict[bytes, dict[str, float]] = {}
     xmin, ymin, xmax, ymax = scenario.bounds
     bounds = (np.tile([xmin, ymin], scenario.n_bs), np.tile([xmax, ymax], scenario.n_bs))
     sigma = max(xmax - xmin, ymax - ymin) / 20.0
-    swarms = {i: _swarm(bounds, 2 * scenario.n_bs, pso, np.random.default_rng(seeds.pso),
-                        initial_positions) for i, (_, follows) in enumerate(stages) if not follows}
+    swarms = {i: _swarm(bounds, 2 * scenario.n_bs, pso, seeds.rng("pso"), initial_positions)
+              for i, (_, follows) in enumerate(stages) if not follows}
     sweeps = {i: next(search) for i, search in swarms.items()}
     results = [None] * len(stages)
     while sweeps:
@@ -292,10 +301,9 @@ def plan_placement(scenario, cfg: PlacementEvalConfig, seeds: Seeds, pso: PsoCon
                 results[i] = stop.value
                 del sweeps[i]
                 if i + 1 < len(stages) and stages[i + 1][1]:
-                    rng = np.random.default_rng([seeds.pso, 2])
+                    rng = seeds.rng("pso", 2)
                     starts = np.tile(results[i].best_x, (pso.n_particles, 1))
                     starts[1:] += rng.normal(0.0, sigma, size=starts[1:].shape)
-                    swarms[i + 1] = _swarm(bounds, 2 * scenario.n_bs, pso,
-                                           np.random.default_rng(rng.integers(2**63)), starts)
+                    swarms[i + 1] = _swarm(bounds, 2 * scenario.n_bs, pso, rng.integers(2**63), starts)
                     sweeps[i + 1] = next(swarms[i + 1])
     return [(r, [cache[x.tobytes()][OBJECTIVE_AUC] for x in r.best_x_history]) for r in results]

@@ -174,7 +174,7 @@ def _street_auc(n_hidden: int, s_total: int, k: int) -> float:
         train=TrainConfig(learning_rate=0.2, epochs=300, batch_size=128),
     )
     seeds = _seeds(k)
-    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    fields = generate_fields(scenario, cfg.channel, seeds)
     [score] = evaluate_placement(scenario, fields, cfg, seeds, np.array([scenario.bs_positions]))
     return score.auc_value
 

@@ -18,7 +18,6 @@ from irlv.channel import (
     _synthesis_factor,
     _torus_lags,
     attenuation_matrix,
-    field_seed,
     generate_fields,
     generate_shadowing_field,
     path_loss_los_db,
@@ -26,10 +25,16 @@ from irlv.channel import (
     save_field,
     shadowing_matrix,
 )
+from irlv.planner import Seeds
 from irlv.scenario import CircularScenario, Position, StreetScenario
 
 
 PARAMS = ChannelParams()
+
+
+def field_root(field: int) -> Seeds:
+    """Seeds whose field root is field (below 2**31), the one root a field draw reads."""
+    return Seeds(field=field, dataset=2**31, init=2**31 + 1, pso=2**31 + 2)
 
 
 def _attenuation_at(scenario, fields, params, pos) -> np.ndarray:
@@ -265,7 +270,7 @@ class TestGenerateShadowingField:
         s = StreetScenario.default()
         rhos = []
         for base_seed in range(64):
-            fields = generate_fields(s, PARAMS, base_seed=base_seed)
+            fields = generate_fields(s, PARAMS, field_root(base_seed))
             rhos.append(np.corrcoef(fields[0].values.ravel(), fields[1].values.ravel())[0, 1])
         assert abs(np.mean(rhos)) < 0.1
         assert len(fields) == s.n_bs
@@ -273,11 +278,11 @@ class TestGenerateShadowingField:
             for j in range(i):
                 assert not np.array_equal(fields[i].values, fields[j].values), (i, j)
         # derived seeds are stable across calls
-        again = generate_fields(s, PARAMS, base_seed=63)
+        again = generate_fields(s, PARAMS, field_root(63))
         np.testing.assert_array_equal(fields[2].values, again[2].values)
 
     def test_field_seed_varies_with_bs(self):
-        seen = {field_seed(9, n) for n in range(8)}
+        seen = {field_root(9).rng("field", n, int_seed=True) for n in range(8)}
         assert len(seen) == 8
 
 
@@ -387,7 +392,7 @@ class TestSynthesisFactorCache:
 
     def test_fft_amplitudes_built_once_per_grid(self, monkeypatch):
         calls = _counting(monkeypatch, "irlv.channel._real_fft2", _real_fft2)
-        generate_fields(StreetScenario.default(), PARAMS, base_seed=4)  # five fields
+        generate_fields(StreetScenario.default(), PARAMS, field_root(4))  # five fields
         assert len(calls) == 1  # the 216x216 plain embedding holds
         assert _synthesis_factor.cache_info().hits == 4
 
@@ -441,7 +446,7 @@ class TestSynthesisFactorCache:
         _synthesis_factor.cache_clear()
         tracemalloc.start()
         try:
-            fields = generate_fields(StreetScenario.default(), params, base_seed=0)
+            fields = generate_fields(StreetScenario.default(), params, field_root(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -560,7 +565,7 @@ class TestAttenuation:
 
     def test_shadowing_offset_is_the_field_value(self):
         s = CircularScenario.default()
-        fields = generate_fields(s, PARAMS, base_seed=11)
+        fields = generate_fields(s, PARAMS, field_root(11))
         ue = Position(10.0, -5.0)
         with_s = _attenuation_at(s, fields, PARAMS, ue)
         without = _attenuation_at(s, None, PARAMS, ue)
@@ -569,7 +574,7 @@ class TestAttenuation:
     def test_matrix_matches_vector(self):
         """Each row of a batch query equals the one-row query."""
         s = StreetScenario.default()
-        fields = generate_fields(s, PARAMS, base_seed=3)
+        fields = generate_fields(s, PARAMS, field_root(3))
         rng = np.random.default_rng(8)
         xy = rng.uniform(0.0, s.map_side, size=(40, 2))
         mat = attenuation_matrix(s, PARAMS, xy, s.bs_positions) + shadowing_matrix(s, fields, xy)
@@ -579,7 +584,7 @@ class TestAttenuation:
 
     def test_field_count_mismatch_rejected(self):
         s = StreetScenario.default()
-        fields = generate_fields(s, PARAMS, base_seed=3)[:2]
+        fields = generate_fields(s, PARAMS, field_root(3))[:2]
         with pytest.raises(ValueError):
             shadowing_matrix(s, fields, np.array([[10.0, 10.0]]))
 

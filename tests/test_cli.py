@@ -17,7 +17,7 @@ from irlv.channel import ChannelParams, _synthesis_factor, generate_fields
 from irlv.cli import _map_jobs, main, proxy_validity_flags
 from irlv.config import SECTIONS, load_config
 from irlv.errors import NumericError
-from irlv.planner import OBJECTIVES
+from irlv.planner import OBJECTIVES, Seeds
 from test_channel import _indefinite
 
 CIRCULAR = """\
@@ -319,7 +319,7 @@ class TestField:
 
         loaded = np.loadtxt(out / "field_bs0.csv", delimiter=",")
         scenario = load_config(cfg).scenario
-        regenerated = generate_fields(scenario, ChannelParams(sigma_s_db=8.0), 0)[0]
+        regenerated = generate_fields(scenario, ChannelParams(sigma_s_db=8.0), Seeds(0, 1, 2, 3))[0]
         np.testing.assert_array_equal(loaded, regenerated.values)
 
         summary = json.loads((out / "summary.json").read_text())
@@ -433,17 +433,18 @@ class TestExitCodes:
         assert keys - {(s, k) for s, k, _ in SINGLE_KEY_CASES} == RULE_FREE_KEYS
 
     def test_seed_offset_below_a_seed_is_config_error(self, tmp_path, capsys):
-        """The offset may lower the seeds, but not below 0; the manifest
-        of an allowed shift records the config's own seeds."""
+        """The offset is the first replicate, so it may not be below 0,
+        whatever the seeds; the manifest records the config's own seeds."""
         cfg = write_cfg(tmp_path, CIRCULAR.replace("field = 0", "field = 5"))
-        assert run(["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", -2]) == 2
-        assert capsys.readouterr().err == (
-            "config error: --seed-offset -2: shifted [seeds] dataset: -1 is below 0\n"
-        )
+        for offset in (-2, -1):
+            argv = ["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", offset]
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"config error: --seed-offset: {offset} is below 0\n"
         assert not (tmp_path / "o").exists()
-        assert run(["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", -1]) == 0
-        assert read_manifest(tmp_path / "o")["seeds"] == {"field": 5, "dataset": 1, "init": 2,
-                                                         "pso": 3}
+        assert run(["field", "--config", cfg, "--out", tmp_path / "o", "--seed-offset", 1]) == 0
+        manifest = read_manifest(tmp_path / "o")
+        assert manifest["seeds"] == {"field": 5, "dataset": 1, "init": 2, "pso": 3}
+        assert manifest["seed_offset"] == 1
 
     @pytest.mark.parametrize("out, reason", [
         ("afile", "File exists"), ("afile/sub", "Not a directory"),

@@ -93,14 +93,15 @@ class TestLoadConfig:
     def test_every_field_is_a_key_the_file_can_set(self):
         """Each field of a config type is a key SECTIONS lists for it, or a
         nested config or the scenario: no field holds a value that only
-        code can set, such as a copy of another key."""
+        code can set, such as a copy of another key.  The one exception is
+        the replicate a Seeds draws, which is --seed-offset + k, not a key."""
         listed = {(cls, key) for keys in SECTIONS.values() for cls, names in keys.items()
                   for key in names}
         types = {cls for keys in SECTIONS.values() for cls in keys} | {PlacementEvalConfig, TrainConfig}
         nested = types | {StreetScenario | CircularScenario}
         unset = sorted(f"{cls.__name__}.{f.name}" for cls in types for f in dataclasses.fields(cls)
                        if (cls, f.name) not in listed and get_type_hints(cls)[f.name] not in nested)
-        assert unset == []
+        assert unset == ["Seeds.replicate"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -182,8 +183,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[nn\]"):
             load_config(path)
 
-    def test_seed_shift(self):
-        assert Seeds(0, 1, 2, 3).shifted(10) == Seeds(10, 11, 12, 13)
+    @pytest.mark.parametrize("old, new, message", [
+        ("pso = 3", "pso = 1", "pso: 1 is also the dataset root"),
+        ("init = 2", "init = 0", "init: 0 is also the field root"),
+        ("dataset = 1", "dataset = 4294967296", "dataset: 4294967296 is not below 2**32"),
+    ], ids=["equal-pso", "equal-init", "two-words"])
+    def test_seed_roots_that_share_a_stream_named_by_key(self, tmp_path, old, new, message):
+        """Purposes differ by root alone, so two equal roots would draw the
+        same streams; a root of two words aliases another key."""
+        with pytest.raises(ConfigError, match=rf"^\[seeds\] {re.escape(message)}$"):
+            load_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
 
     def test_negative_seed_named_by_key(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("dataset = 1", "dataset = -1"))

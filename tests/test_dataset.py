@@ -7,6 +7,7 @@ from irlv.channel import ChannelParams, generate_fields, path_loss_los_db
 from irlv.dataset import Dataset, generate_dataset, normalize, split
 from irlv.errors import NumericError
 from irlv.scenario import REGION_INSIDE, REGION_OUTSIDE, CircularScenario, StreetScenario
+from test_channel import field_root
 
 
 PARAMS = ChannelParams()
@@ -19,7 +20,7 @@ def _own(scenario):
 
 def _small_dataset(s_total=200, seed=42, fields=False, scenario=None):
     scenario = scenario or CircularScenario.default()
-    f = generate_fields(scenario, PARAMS, base_seed=seed) if fields else None
+    f = generate_fields(scenario, PARAMS, field_root(seed)) if fields else None
     return generate_dataset(scenario, f, PARAMS, s_total, 0.5, np.random.default_rng(seed),
                             _own(scenario))
 
@@ -112,7 +113,7 @@ class TestGenerateDataset:
         """Each placement of a stack gets the features it gets alone, over
         the same rows and labels."""
         scenario = StreetScenario.default()
-        fields = generate_fields(scenario, PARAMS, base_seed=4)
+        fields = generate_fields(scenario, PARAMS, field_root(4))
         placements = np.array([scenario.bs_positions, np.full((5, 2), 262.5)])
         stack = generate_dataset(scenario, fields, PARAMS, 50, 0.5, np.random.default_rng(3),
                                  placements)

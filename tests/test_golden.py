@@ -130,7 +130,7 @@ def own_placement_score(scenario, channel):
     with the mini-batch order drawn from the init seed."""
     cfg = dataclasses.replace(SMALL_EVAL, channel=channel)
     seeds = Seeds(field=1, dataset=2, init=3, pso=0)
-    [score] = evaluate_placement(scenario, generate_fields(scenario, channel, seeds.field),
+    [score] = evaluate_placement(scenario, generate_fields(scenario, channel, seeds),
                                  cfg, seeds, np.array([scenario.bs_positions]))
     return [score.ce_bits, score.auc_value]
 

@@ -182,6 +182,53 @@ def test_package_calls_no_linear_algebra():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _stream_opens(source: str) -> list[str]:
+    """"function:line" of every call of default_rng or SeedSequence, named
+    by the dotted path of the functions and classes it sits in."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("default_rng", "SeedSequence"):
+                    found.append(f"{scope}:{child.lineno}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nrng = np.random.default_rng(1)\n", [":2"]),
+    ("from numpy.random import SeedSequence\nclass A:\n    def f(self):\n"
+     "        return SeedSequence([1, 2])\n", ["A.f:4"]),
+    ("def g(seed):\n    def h():\n        return np.random.default_rng(seed)\n", ["g.h:3"]),
+    ("x = 'default_rng(1)'  # SeedSequence(2)\nrng.random()\n", []),
+], ids=["module", "method", "nested", "names"])
+def test_stream_open_rule(source, found):
+    assert _stream_opens(source) == found
+
+
+# the stream rule, and the functions that open a seed they are given (from
+# the rule, or drawn from one of its streams): the networks' weights and
+# batch order, the swarm, and a shadowing field from its int seed
+STREAM_OPENERS = {"Seeds.rng", "init_mlp", "train", "_swarm", "generate_shadowing_field"}
+
+
+def test_package_draws_every_stream_from_the_rule():
+    """A generator or seed built anywhere else could overlap the streams
+    that planner.Seeds.rng keys apart."""
+    found = {path.name: [at for at in _stream_opens(path.read_text())
+                         if at.partition(":")[0] not in STREAM_OPENERS]
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_dependencies_are_exactly_the_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]

@@ -1,12 +1,14 @@
 """Swarm search tests: kinematics, bookkeeping, and placement objectives."""
 
 import dataclasses
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from irlv.channel import ChannelParams, generate_fields
+from irlv.config import default_config_path, load_config
 from irlv.evaluation import auc
 from irlv.mlp import TrainConfig
 from irlv.planner import (
@@ -239,7 +241,7 @@ STREET_SEEDS = Seeds(field=1, dataset=2, init=3, pso=0)
 
 def _score(scenario, xy, cfg, seeds):
     """evaluate_placement of one placement, a stack of one, with its own fields."""
-    fields = generate_fields(scenario, cfg.channel, seeds.field)
+    fields = generate_fields(scenario, cfg.channel, seeds)
     return evaluate_placement(scenario, fields, cfg, seeds, np.reshape(xy, (1, -1, 2)))[0]
 
 
@@ -387,9 +389,9 @@ class TestLockstep:
          [OBJECTIVE_CE, OBJECTIVE_AUC], [(5, False), (4, True)]),
         (37, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
          [OBJECTIVE_CE, OBJECTIVE_AUC], [(5, True), (3, True)]),
-        (1, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
+        (10, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
          [OBJECTIVE_CE, OBJECTIVE_AUC], [(2, True), (5, False)]),
-        (2, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
+        (50, PsoConfig(n_particles=3, max_iterations=5, stall_iterations=2),
          [OBJECTIVE_CE, "two-stage"], [(2, True), (2, True), (2, True)]),
     ], ids=["same-limits", "ce-stops-at-max", "auc-stalls-first", "ce-stalls-first",
             "two-stage-beside-ce"])
@@ -397,7 +399,8 @@ class TestLockstep:
         """stops pins each stage's (n_iterations, converged), in objective
         order: the searches stop together, or either one leaves the loop
         first, or a second stage runs on after the search beside it.  Each
-        pso_seed is the smallest that gives its stops."""
+        pso_seed is the smallest that gives its stops, other than the
+        STREET_SEEDS roots 1, 2 and 3, which a pso root may not repeat."""
         scenario = StreetScenario.default()
         seeds = dataclasses.replace(STREET_SEEDS, pso=pso_seed)
         together = plan_placement(scenario, STREET_EVAL, seeds, pso, objectives)
@@ -422,7 +425,8 @@ class TestLockstep:
         different global bests in that sweep, which moves the swarms apart
         from the first step on, so every later call trains both swarms:
         every distinct placement of either search is trained once, in one
-        call per sweep.  pso = 2 is the first seed that gives such bests."""
+        call per sweep.  pso = 4 is the first seed that gives such bests,
+        after the STREET_SEEDS roots 1, 2 and 3, which it may not repeat."""
         evaluated, scores = [], []
 
         def spy(*args):
@@ -432,7 +436,7 @@ class TestLockstep:
 
         monkeypatch.setattr("irlv.planner.evaluate_placement", spy)
         pso = PsoConfig(n_particles=3, max_iterations=2, stall_iterations=3)
-        seeds = dataclasses.replace(STREET_SEEDS, pso=2)
+        seeds = dataclasses.replace(STREET_SEEDS, pso=4)
         (ce_run, _), (auc_run, _) = plan_placement(
             StreetScenario.default(), STREET_EVAL, seeds, pso, [OBJECTIVE_CE, OBJECTIVE_AUC])
         assert [len(e) for e in evaluated] == [3, 6, 6]  # one shared sweep, then both swarms
@@ -511,7 +515,7 @@ class TestSwarmSeed:
 
     def test_pso_seed_moves_the_first_sweep(self, monkeypatch):
         first = self._first_sweep(monkeypatch, STREET_SEEDS)
-        other = self._first_sweep(monkeypatch, dataclasses.replace(STREET_SEEDS, pso=1))
+        other = self._first_sweep(monkeypatch, dataclasses.replace(STREET_SEEDS, pso=4))
         assert not np.any(first == other)
 
     @staticmethod
@@ -525,7 +529,7 @@ class TestSwarmSeed:
             return evaluate_placement(*args)
 
         def swarm_spy(bounds, dim, config, rng, initial_positions):
-            swarms.append((rng.bit_generator.state, initial_positions))
+            swarms.append((np.random.default_rng(rng).bit_generator.state, initial_positions))
             return _swarm(bounds, dim, config, rng, initial_positions)
 
         monkeypatch.setattr("irlv.planner.evaluate_placement", evaluate_spy)
@@ -555,7 +559,7 @@ class TestSwarmSeed:
         np.testing.assert_array_equal(starts[0], run1[0].best_x)
 
         _, _, [_, (other_state2, other_starts)] = self._two_stage(
-            monkeypatch, dataclasses.replace(STREET_SEEDS, pso=1))
+            monkeypatch, dataclasses.replace(STREET_SEEDS, pso=4))
         assert other_state2 != state2
         jitter, other_jitter = starts[1:] - starts[0], other_starts[1:] - other_starts[0]
         assert not np.any(jitter == other_jitter)
@@ -565,3 +569,78 @@ def test_run_pso_rejects_wrong_objective_shape():
     with pytest.raises(ValueError, match=r"returned shape \(2,\) for 3 particles"):
         run_pso(lambda x: np.zeros(2), BOUNDS, 2, PsoConfig(n_particles=3),
                 np.random.default_rng(0))
+
+
+class TestSeeds:
+    """The stream rule: every draw of a run is keyed [root, stream, replicate]."""
+
+    @staticmethod
+    def _purposes(command: str, n_bs: int, offset: int, n_seeds: int, n_realizations: int):
+        """(purpose, replicate, root, stream) of every stream the command
+        draws, as the rule assigns them: the weights and the batch order are
+        one purpose, and field realization r is base station 0's field of
+        replicate offset + r."""
+        fields = [(f"field {n}", "field", n) for n in range(n_bs)]
+        rows, weights = ("rows", "dataset", 0), ("weights and batches", "init", 0)
+        per_seed = {"roc": fields + [rows, weights],
+                    "np-compare": fields + [rows, ("oracle", "dataset", 1), weights],
+                    "plan": fields + [rows, weights, ("swarm", "pso", 0), ("stage two", "pso", 2)],
+                    "field": fields}[command]
+        replicates = range(offset, offset + (n_seeds if command in ("roc", "plan") else 1))
+        draws = [(purpose, k, root, stream) for k in replicates for purpose, root, stream in per_seed]
+        if command == "field":
+            draws += [("field 0", offset + r, "field", 0) for r in range(n_realizations)]
+        return draws
+
+    def test_no_stream_serves_two_purposes_or_replicates(self):
+        """paper.cfg's roots, five seeds at offsets 0 and 5, every command:
+        each distinct stream, told apart by its generator's state (a
+        field's by the state its int seed opens), serves one (purpose,
+        replicate) pair, and each pair one stream."""
+        cfg = load_config(default_config_path())
+        users = {}
+        for command in ("roc", "np-compare", "plan", "field"):
+            for offset in (0, 5):
+                for purpose, k, root, stream in self._purposes(
+                        command, cfg.scenario.n_bs, offset, 5, cfg.sweep.n_field_realizations):
+                    seeds = dataclasses.replace(cfg.seeds, replicate=k)
+                    if root == "field":
+                        rng = np.random.default_rng(seeds.rng(root, stream, int_seed=True))
+                    else:
+                        rng = seeds.rng(root, stream)
+                    users.setdefault(repr(rng.bit_generator.state), set()).add((purpose, k))
+        assert [pairs for pairs in users.values() if len(pairs) > 1] == []
+        # 9 per-seed purposes at replicates 0-9, the oracle at 0 and 5, and
+        # the realizations' field 0 at replicates 10-504
+        assert len(users) == 9 * 10 + 2 + 495
+
+    def test_replicate_zero_draws_what_the_bare_roots_drew(self):
+        seeds = load_config(default_config_path()).seeds
+        field, dataset, init, pso = (getattr(seeds, key) for key in Seeds.ROOTS)
+
+        def state(rng):
+            return rng.bit_generator.state
+
+        for root in Seeds.ROOTS:
+            assert state(seeds.rng(root)) == state(np.random.default_rng(getattr(seeds, root)))
+        assert state(seeds.rng("dataset", 1)) == state(np.random.default_rng([dataset, 1]))
+        assert state(seeds.rng("pso", 2)) == state(np.random.default_rng([pso, 2]))
+        for n in range(5):
+            old = np.random.SeedSequence([field, n]).generate_state(1, np.uint64)[0]
+            assert seeds.rng("field", n, int_seed=True) == int(old)
+
+    def test_replicate_moves_every_stream(self):
+        seeds = Seeds(field=7, dataset=8, init=9, pso=10)
+        later = dataclasses.replace(seeds, replicate=1)
+        for root in Seeds.ROOTS:
+            assert seeds.rng(root).random() != later.rng(root).random()
+        assert seeds.rng("field", 0, True) != later.rng("field", 0, True)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"replicate": -1}, "replicate: -1 is below 0"),
+        ({"init": 2**32}, "init: 4294967296 is not below 2**32"),
+        ({"pso": 8}, "pso: 8 is also the dataset root"),
+    ], ids=["negative-replicate", "two-word-root", "equal-roots"])
+    def test_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            Seeds(**{"field": 7, "dataset": 8, "init": 9, "pso": 10, **kwargs})
